@@ -12,6 +12,9 @@
  *                         many worker *processes* (DistRunner) instead
  *                         of threads — results are bit-identical
  *                         either way (the dist ctest gate enforces it)
+ *
+ * A malformed knob (TOKENSIM_BENCH_OPS=abc) exits with status 2 and a
+ * message naming it, instead of running a silently wrong size.
  */
 
 #ifndef TOKENSIM_BENCH_BENCH_UTIL_HH
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/argparse.hh"
 #include "harness/dist_runner.hh"
 #include "harness/experiment.hh"
 #include "harness/parallel_runner.hh"
@@ -30,20 +34,29 @@
 namespace tokensim {
 namespace bench {
 
+/** Evaluate @p read; a malformed knob's ArgError exits with status 2. */
+template <class Read>
+auto
+envKnob(Read read)
+{
+    try {
+        return read();
+    } catch (const ArgError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+    }
+}
+
 inline std::uint64_t
 benchOps()
 {
-    if (const char *s = std::getenv("TOKENSIM_BENCH_OPS"))
-        return std::strtoull(s, nullptr, 10);
-    return 6000;
+    return envKnob([] { return envU64("TOKENSIM_BENCH_OPS", 6000, 1); });
 }
 
 inline int
 benchSeeds()
 {
-    if (const char *s = std::getenv("TOKENSIM_BENCH_SEEDS"))
-        return static_cast<int>(std::strtol(s, nullptr, 10));
-    return 2;
+    return envKnob([] { return envInt("TOKENSIM_BENCH_SEEDS", 2, 1); });
 }
 
 /** The paper's 16-processor target system (Table 1). */
@@ -107,15 +120,17 @@ struct Row
 inline std::vector<ExperimentResult>
 runAll(const std::vector<ExperimentSpec> &specs)
 {
-    if (const char *s = std::getenv("TOKENSIM_WORKERS")) {
-        const long v = std::strtol(s, nullptr, 10);
-        if (v >= 1) {
-            DistRunnerOptions opts;
-            opts.workers = static_cast<int>(v);
-            return DistRunner(std::move(opts)).run(specs);
-        }
+    const int workers =
+        envKnob([] { return envInt("TOKENSIM_WORKERS", 0, 0); });
+    if (workers >= 1) {
+        DistRunnerOptions opts;
+        opts.workers = workers;
+        return DistRunner(std::move(opts)).run(specs);
     }
-    return ParallelRunner().run(specs);
+    // ParallelRunner reads TOKENSIM_THREADS when it is constructed.
+    const ParallelRunner threads =
+        envKnob([] { return ParallelRunner(); });
+    return threads.run(specs);
 }
 
 } // namespace bench

@@ -11,20 +11,23 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "harness/argparse.hh"
 #include "harness/parallel_runner.hh"
 
 using namespace tokensim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+compare(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "oltp";
     const std::uint64_t ops =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 4000;
+        argc > 2 ? parseU64("ops", argv[2], 1) : 4000;
 
     struct Row
     {
@@ -75,4 +78,17 @@ main(int argc, char **argv)
                 "per-node acks; snooping is stuck on the ordered "
                 "tree)\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return compare(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "protocol_comparison: %s\n", e.what());
+        return 1;
+    }
 }

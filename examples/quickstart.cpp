@@ -42,10 +42,8 @@ parseProtocol(const std::string &s)
     throw std::invalid_argument("unknown protocol: " + s);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+quickstart(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "oltp";
     const ProtocolKind proto =
@@ -119,4 +117,17 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return quickstart(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "quickstart: %s\n", e.what());
+        return 1;
+    }
 }

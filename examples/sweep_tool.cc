@@ -6,7 +6,7 @@
  * shards onto.
  *
  *   $ ./sweep_tool run [options]
- *   $ ./sweep_tool worker [--connect HOST:PORT | --listen HOST:PORT]
+ *   $ ./sweep_tool worker
  *
  * `run` prints exactly one machine-parseable line per design point on
  * stdout — `<label> <resultDigest()>` in spec order — so piping or
@@ -16,20 +16,10 @@
  * <(TOKENSIM_WORKERS=8 sweep_tool run ...)` must always be empty —
  * CI's multi-process smoke step enforces exactly that.
  *
- * `worker` speaks the harness/wire.hh frame protocol on stdin/stdout
- * (hello, then one result or error frame per job frame) until EOF.
- * DistRunner spawns it via --worker-bin or workerArgv; anything that
- * can ship byte streams between hosts can drive it remotely.
- *
- * Cross-host TCP: `worker --connect HOST:PORT` dials a sweeping
- * parent's listener and serves the same protocol over the socket
- * (retrying the connect so workers may be launched first); `worker
- * --listen HOST:PORT` waits for the parent to dial it instead. On the
- * run side, `--hosts FILE|LIST` takes newline- or comma-separated
- * endpoints: a `listen:HOST:PORT` entry opens the parent's listener
- * (port 0 = ephemeral, announced on stderr), every other entry is a
- * `worker --listen` endpoint to dial. Workers join and leave freely
- * mid-sweep; digests never change.
+ * `worker` takes no options: it speaks the harness/wire.hh frame
+ * protocol on stdin/stdout (hello, then one result or error frame per
+ * job frame) until EOF. `run --workers N` execs it N times over pipe
+ * pairs (DistRunnerOptions::workerArgv).
  *
  * Options (run):
  *   --protocols a,b,c  comma list (default tokenb,snooping)
@@ -62,16 +52,9 @@
  *                      typed error before the sweep starts
  *   --seeds N          seeds per design point (default 2)
  *   --seed S           base seed (default 1)
- *   --workers N        local worker subprocesses (default:
+ *   --workers N        worker subprocesses (default:
  *                      TOKENSIM_WORKERS, else 0 = in-process
- *                      ParallelRunner; with --hosts, 0 = remote-only)
- *   --hosts FILE|LIST  TCP fleet manifest: `listen:HOST:PORT` opens
- *                      the parent listener, other entries are dialed
- *   --join-timeout MS  wait this long for a TCP worker to (re)join
- *                      an empty pool before degrading in-process
- *                      (default 30000; -1 = forever)
- *   --hello-timeout MS drop a connected peer with no valid hello
- *                      after MS (default 10000)
+ *                      ParallelRunner)
  *   --threads N        ParallelRunner threads when workers = 0
  *   --serial           serial runExperiment loop (the oracle)
  *   --fork-workers     fork-only workers instead of exec'ing self
@@ -93,19 +76,13 @@
  *   --help             print option summary with defaults
  */
 
-#include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "harness/argparse.hh"
@@ -174,13 +151,10 @@ struct Options
     std::string snapshot;   // --snapshot PATH (empty: no snapshot)
     int seeds = 2;
     std::uint64_t seed = 1;
-    int workers = -1;       // -1: TOKENSIM_WORKERS, else 0
+    int workers = 0;        // default: TOKENSIM_WORKERS, else 0
     int threads = 0;
     bool serial = false;
     bool forkWorkers = false;
-    std::string hosts;      // --hosts FILE|LIST (empty: no TCP)
-    long joinTimeoutMs = 30000;
-    long helloTimeoutMs = 10000;
     std::string checkpoint;
     int retries = 2;
     long shardTimeoutMs = 0;
@@ -198,9 +172,8 @@ printHelp(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s run [options]\n"
-        "       %s worker [--connect HOST:PORT | --listen "
-        "HOST:PORT]\n"
-        "              [--retry-ms MS] [--identity S]\n"
+        "       %s worker    (serve job frames on stdin/stdout; "
+        "takes no options)\n"
         "\n"
         "run options:\n"
         "  --protocols a,b,c   comma list (default tokenb,snooping)\n"
@@ -236,22 +209,9 @@ printHelp(const char *argv0)
         "                      typed errors up front)\n"
         "  --seeds N           seeds per design point (default %d)\n"
         "  --seed S            base seed (default %llu)\n"
-        "  --workers N         local worker subprocesses (default: "
+        "  --workers N         worker subprocesses (default: "
         "TOKENSIM_WORKERS, else 0 =\n"
-        "                      in-process threads; with --hosts, 0 = "
-        "remote-only)\n"
-        "  --hosts FILE|LIST   TCP fleet manifest: `listen:HOST:PORT` "
-        "opens the parent\n"
-        "                      listener (port 0 = ephemeral, printed "
-        "to stderr); other\n"
-        "                      entries are `worker --listen` "
-        "endpoints to dial\n"
-        "  --join-timeout MS   wait for a TCP (re)join when the pool "
-        "is empty before\n"
-        "                      degrading in-process (default %ld; -1 "
-        "= forever)\n"
-        "  --hello-timeout MS  drop a connected peer with no valid "
-        "hello (default %ld)\n"
+        "                      in-process threads)\n"
         "  --threads N         ParallelRunner threads when workers "
         "= 0 (default: hardware)\n"
         "  --serial            serial oracle loop\n"
@@ -274,8 +234,8 @@ printHelp(const char *argv0)
         argv0, argv0, d.nodes,
         static_cast<unsigned long long>(d.ops),
         static_cast<unsigned long long>(d.warmup), d.seeds,
-        static_cast<unsigned long long>(d.seed), d.joinTimeoutMs,
-        d.helloTimeoutMs, d.retries, d.shardTimeoutMs);
+        static_cast<unsigned long long>(d.seed), d.retries,
+        d.shardTimeoutMs);
 }
 
 /** --sample FF:WIN:N -> SamplingSpec{FF, WIN, N}. */
@@ -350,10 +310,7 @@ Options
 parseOptions(int argc, char **argv, int first)
 {
     Options o;
-    if (const char *s = std::getenv("TOKENSIM_WORKERS")) {
-        const long v = std::strtol(s, nullptr, 10);
-        o.workers = v >= 1 ? static_cast<int>(v) : 0;
-    }
+    o.workers = envInt("TOKENSIM_WORKERS", 0, 0);
     for (int i = first; i < argc; ++i) {
         const std::string a = argv[i];
         const auto value = [&]() -> std::string {
@@ -390,12 +347,6 @@ parseOptions(int argc, char **argv, int first)
             o.seed = parseU64(a, value());
         else if (a == "--workers")
             o.workers = parseInt(a, value(), 0);
-        else if (a == "--hosts")
-            o.hosts = value();
-        else if (a == "--join-timeout")
-            o.joinTimeoutMs = parseI64(a, value(), -1);
-        else if (a == "--hello-timeout")
-            o.helloTimeoutMs = parseI64(a, value(), 1);
         else if (a == "--threads")
             o.threads = parseInt(a, value(), 0);
         else if (a == "--serial")
@@ -520,51 +471,6 @@ dumpMetrics(const ExperimentResult &r)
     }
 }
 
-/**
- * Resolve --hosts: a readable file is one endpoint per line ('#'
- * comments and blanks skipped), anything else a comma list. Each
- * `listen:HOST:PORT` entry opens the parent's listener (last one
- * wins); every other entry is dialed as a `worker --listen` endpoint.
- */
-void
-parseHosts(const std::string &arg, std::string &listen,
-           std::vector<std::string> &dial)
-{
-    std::vector<std::string> entries;
-    std::ifstream f(arg);
-    if (f.is_open()) {
-        std::string line;
-        while (std::getline(f, line))
-            entries.push_back(line);
-    } else {
-        entries = splitCommas(arg);
-    }
-    const std::string listen_prefix = "listen:";
-    for (std::string e : entries) {
-        const std::size_t b = e.find_first_not_of(" \t\r");
-        if (b == std::string::npos)
-            continue;
-        e = e.substr(b, e.find_last_not_of(" \t\r") - b + 1);
-        if (e.empty() || e[0] == '#')
-            continue;
-        if (e.compare(0, listen_prefix.size(), listen_prefix) == 0)
-            listen = e.substr(listen_prefix.size());
-        else
-            dial.push_back(e);
-    }
-}
-
-/** "host:pid", the worker identity shown in the parent's logs. */
-std::string
-defaultIdentity()
-{
-    char host[256];
-    if (::gethostname(host, sizeof(host)) != 0)
-        std::strcpy(host, "unknown");
-    host[sizeof(host) - 1] = '\0';
-    return std::string(host) + ":" + std::to_string(::getpid());
-}
-
 /** Path of this binary, for exec'ing ourselves as the worker. */
 std::string
 selfExe()
@@ -651,17 +557,10 @@ runSweep(const Options &o)
     if (!o.snapshot.empty())
         attachSnapshot(o, specs);
 
-    std::string tcpListenEp;
-    std::vector<std::string> tcpDial;
-    if (!o.hosts.empty())
-        parseHosts(o.hosts, tcpListenEp, tcpDial);
-    const bool tcpFleet = !tcpListenEp.empty() || !tcpDial.empty();
-
-    if (!o.checkpoint.empty() &&
-        (o.serial || (o.workers < 1 && !tcpFleet))) {
+    if (!o.checkpoint.empty() && (o.serial || o.workers < 1)) {
         throw std::invalid_argument(
-            "--checkpoint requires --workers >= 1 or --hosts "
-            "(checkpointing lives in the process-sharded runner)");
+            "--checkpoint requires --workers >= 1 (checkpointing "
+            "lives in the process-sharded runner)");
     }
 
     std::vector<ExperimentResult> results;
@@ -672,49 +571,34 @@ runSweep(const Options &o)
         for (const ExperimentSpec &s : specs)
             results.push_back(
                 runExperiment(s.cfg, s.seeds, s.label));
-    } else if (o.workers >= 1 || tcpFleet) {
+    } else if (o.workers >= 1) {
         DistRunnerOptions d;
-        d.workers = std::max(o.workers, 0);
+        d.workers = o.workers;
         d.maxShardRetries = o.retries;
         d.shardTimeoutMs = o.shardTimeoutMs;
         d.checkpointPath = o.checkpoint;
-        d.listen = tcpListenEp;
-        d.dial = tcpDial;
-        d.joinTimeoutMs = o.joinTimeoutMs;
-        d.helloTimeoutMs = o.helloTimeoutMs;
-        if (!tcpListenEp.empty()) {
-            // Announce the bound port (ephemeral or not) so scripts
-            // can scrape it and point their workers at it.
-            d.onListen = [](int port) {
-                std::fprintf(stderr, "sweep: listening on port %d\n",
-                             port);
-            };
-        }
-        if (!o.forkWorkers && d.workers >= 1) {
+        if (!o.forkWorkers) {
             const std::string self = selfExe();
             if (!self.empty())
                 d.workerArgv = {self, "worker"};
             // readlink failed (no /proc?): fall back to forked
             // in-process workers — same protocol, same results.
         }
-        // Checkpoint, worker-lifecycle, and TCP fleet events
-        // (restore counts, hang kills, respawns, joins, drops,
-        // degradation) are operationally significant, so they print
-        // even without --progress; the chatty per-shard lines stay
-        // opt-in.
+        // Checkpoint and worker-lifecycle events (restore counts,
+        // hang kills, respawns, degradation) are operationally
+        // significant, so they print even without --progress; the
+        // chatty per-shard lines stay opt-in.
         const bool verbose = o.progress;
         d.progress = [verbose](const std::string &line) {
             if (verbose || line.rfind("checkpoint", 0) == 0 ||
-                line.rfind("worker", 0) == 0 ||
-                line.rfind("tcp", 0) == 0)
+                line.rfind("worker", 0) == 0)
                 std::fprintf(stderr, "sweep: %s\n", line.c_str());
         };
         std::fprintf(stderr,
                      "sweep: %zu design points x %d seeds across %d "
-                     "local worker processes (%s)%s\n",
+                     "worker processes (%s)\n",
                      specs.size(), o.seeds, d.workers,
-                     d.workerArgv.empty() ? "forked" : "exec'd",
-                     tcpFleet ? " + TCP fleet" : "");
+                     d.workerArgv.empty() ? "forked" : "exec'd");
         results = DistRunner(std::move(d)).run(specs);
     } else {
         ParallelRunner runner(ParallelRunnerOptions{o.threads});
@@ -768,64 +652,13 @@ main(int argc, char **argv)
             return 0;
         }
         if (mode == "worker") {
-            std::string connect;
-            std::string listenEp;
-            std::string identity;
-            long retryMs = 10000;
-            for (int i = 2; i < argc; ++i) {
-                const std::string a = argv[i];
-                const auto value = [&]() -> std::string {
-                    if (i + 1 >= argc) {
-                        throw std::invalid_argument(a +
-                                                    " needs a value");
-                    }
-                    return argv[++i];
-                };
-                if (a == "--connect")
-                    connect = value();
-                else if (a == "--listen")
-                    listenEp = value();
-                else if (a == "--retry-ms")
-                    retryMs = parseI64(a, value(), 0);
-                else if (a == "--identity")
-                    identity = value();
-                else
-                    throw std::invalid_argument(
-                        "unknown worker option: " + a);
-            }
-            if (!connect.empty() && !listenEp.empty()) {
+            if (argc > 2) {
                 throw std::invalid_argument(
-                    "worker: --connect and --listen are exclusive");
+                    std::string("worker takes no options (it serves "
+                                "job frames on stdin/stdout), got ") +
+                    argv[2]);
             }
-            if (identity.empty())
-                identity = defaultIdentity();
-            if (!connect.empty()) {
-                // A parent that dies mid-write must surface as EPIPE
-                // (worker exits 2), not SIGPIPE.
-                std::signal(SIGPIPE, SIG_IGN);
-                const int fd = tcpConnect(connect, retryMs);
-                const int rc = runDistWorker(fd, fd, {}, identity);
-                ::close(fd);
-                return rc;
-            }
-            if (!listenEp.empty()) {
-                std::signal(SIGPIPE, SIG_IGN);
-                int port = 0;
-                const int lfd = tcpListen(listenEp, port);
-                std::fprintf(stderr,
-                             "worker: listening on port %d\n", port);
-                const int fd = ::accept(lfd, nullptr, nullptr);
-                if (fd < 0) {
-                    throw std::runtime_error(
-                        std::string("worker: accept(): ") +
-                        std::strerror(errno));
-                }
-                ::close(lfd);
-                const int rc = runDistWorker(fd, fd, {}, identity);
-                ::close(fd);
-                return rc;
-            }
-            return runDistWorker(0, 1, {}, identity);
+            return runDistWorker(0, 1);
         }
         if (mode == "run") {
             const Options o = parseOptions(argc, argv, 2);

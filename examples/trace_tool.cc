@@ -31,6 +31,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "harness/argparse.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "workload/trace.hh"
@@ -94,16 +95,16 @@ parseOptions(int argc, char **argv, int first)
         } else if (flag == "--topology") {
             o.topology = value();
         } else if (flag == "--nodes") {
-            o.nodes = std::stoi(value());
+            o.nodes = parseInt(flag, value(), 1);
             o.nodesSet = true;
         } else if (flag == "--ops") {
-            o.ops = std::stoull(value());
+            o.ops = parseU64(flag, value(), 1);
             o.opsSet = true;
         } else if (flag == "--warmup") {
-            o.warmup = std::stoull(value());
+            o.warmup = parseU64(flag, value());
             o.warmupSet = true;
         } else if (flag == "--seed") {
-            o.seed = std::stoull(value());
+            o.seed = parseU64(flag, value());
             o.seedSet = true;
         } else {
             throw std::invalid_argument("unknown option: " + flag);
@@ -203,9 +204,13 @@ int
 cmdDump(const std::string &path, int argc, char **argv, int first)
 {
     const auto trace = TraceData::load(path);
-    const int node = argc > first ? std::stoi(argv[first]) : 0;
+    const TraceHeader &hdr = trace->header();
+    const int node = argc > first
+        ? parseInt("node", argv[first], 0,
+                   static_cast<int>(hdr.numNodes) - 1)
+        : 0;
     const std::uint64_t limit = argc > first + 1
-        ? std::stoull(argv[first + 1]) : 32;
+        ? parseU64("limit", argv[first + 1]) : 32;
 
     TraceData::Reader r(*trace, static_cast<NodeId>(node));
     std::printf("# node %d: %llu ops\n", node,

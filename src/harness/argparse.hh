@@ -10,7 +10,8 @@
  * be consumed, the value must fit the target type and the caller's
  * range, and a violation throws ArgError naming the option, the
  * offending text, and the accepted range — turned into a clean
- * usage-error exit by the tool's top-level handler.
+ * usage-error exit by the tool's top-level handler. The TOKENSIM_*
+ * environment knobs parse through the same rules (envInt/envU64).
  */
 
 #ifndef TOKENSIM_HARNESS_ARGPARSE_HH
@@ -103,6 +104,29 @@ parseInt(const std::string &what, const std::string &text,
          int max = std::numeric_limits<int>::max())
 {
     return static_cast<int>(parseI64(what, text, min, max));
+}
+
+/**
+ * Environment knob @p name as an int in [@p min, @p max]; unset or
+ * empty yields @p fallback.
+ * @throws ArgError naming the variable, its text, and the range.
+ */
+inline int
+envInt(const char *name, int fallback,
+       int min = std::numeric_limits<int>::min(),
+       int max = std::numeric_limits<int>::max())
+{
+    const char *s = std::getenv(name);
+    return s && *s ? parseInt(name, s, min, max) : fallback;
+}
+
+/** envInt for unsigned 64-bit knobs (parsed like parseU64). */
+inline std::uint64_t
+envU64(const char *name, std::uint64_t fallback, std::uint64_t min = 0,
+       std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    const char *s = std::getenv(name);
+    return s && *s ? parseU64(name, s, min, max) : fallback;
 }
 
 } // namespace tokensim

@@ -1,28 +1,22 @@
 #include "harness/dist_runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <climits>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
 #include <thread>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "harness/argparse.hh"
 #include "harness/wire.hh"
 #include "sim/stats.hh"
 
@@ -33,11 +27,8 @@ namespace {
 int
 defaultWorkers()
 {
-    if (const char *s = std::getenv("TOKENSIM_WORKERS")) {
-        const long v = std::strtol(s, nullptr, 10);
-        if (v >= 1)
-            return static_cast<int>(v);
-    }
+    if (const int v = envInt("TOKENSIM_WORKERS", 0, 0); v >= 1)
+        return v;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? static_cast<int>(hw) : 1;
 }
@@ -49,27 +40,18 @@ struct Shard
     int seed;
 };
 
-/**
- * Parent-side state of one worker: a forked/exec'd subprocess on a
- * pipe pair, or a remote peer on a connected socket (in == out,
- * pid == -1 — not ours to signal or reap).
- */
+/** Parent-side state of one worker: a forked/exec'd child on a pipe pair. */
 struct WorkerProc
 {
-    pid_t pid = -1;          ///< -1 for TCP peers (no child to reap)
+    pid_t pid = -1;
     int in = -1;             ///< parent writes job frames here
-    int out = -1;            ///< parent reads replies (== in on sockets)
+    int out = -1;            ///< parent reads replies here
     std::string rbuf;        ///< partially received reply bytes
     std::size_t rpos = 0;
     bool alive = false;
-    bool tcp = false;        ///< connected socket, not a pipe pair
-    bool admitted = false;   ///< may be assigned shards (TCP: hello ok)
     bool helloSeen = false;
-    std::string identity;    ///< from the hello frame (e.g. "host:pid")
     long shard = -1;         ///< outstanding shard index, -1 if idle
-    int slot = 0;            ///< stable pool index (survives respawn)
     long long assignMs = 0;  ///< when the outstanding shard was sent
-    long long joinMs = 0;    ///< TCP: when it connected (hello deadline)
 };
 
 /** Monotonic milliseconds, for shard deadlines. */
@@ -130,45 +112,11 @@ writeAll(int fd, const std::string &data)
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                // Nonblocking socket with a full send buffer: wait
-                // for drain, bounded so a wedged peer that never
-                // reads cannot wedge the sweep.
-                struct pollfd p;
-                p.fd = fd;
-                p.events = POLLOUT;
-                p.revents = 0;
-                if (::poll(&p, 1, 60000) > 0)
-                    continue;
-                return false;
-            }
             return false;
         }
         off += static_cast<std::size_t>(n);
     }
     return true;
-}
-
-void
-setNonblock(int fd)
-{
-    const int fl = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-}
-
-/** Split "HOST:PORT" (or bare "PORT") at the last colon. */
-void
-splitEndpoint(const std::string &endpoint, std::string &host,
-              std::string &port)
-{
-    const std::size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos) {
-        host.clear();
-        port = endpoint;
-    } else {
-        host = endpoint.substr(0, colon);
-        port = endpoint.substr(colon + 1);
-    }
 }
 
 /**
@@ -238,7 +186,6 @@ spawnWorker(const std::vector<std::string> &worker_argv,
     w.in = job[1];
     w.out = res[0];
     w.alive = true;
-    w.admitted = true;   // our own spawn: trusted before its hello
     return w;
 }
 
@@ -248,32 +195,22 @@ closeAndReap(WorkerProc &w, std::vector<int> &parent_fds)
     if (!w.alive)
         return;
     w.alive = false;
-    const int in = w.in;
-    const int out = w.out;
-    w.in = w.out = -1;
-    ::close(in);
-    if (out != in)
-        ::close(out);   // a socket is one fd, closed exactly once
-    for (int fd : {in, out}) {
+    for (int fd : {w.in, w.out}) {
+        ::close(fd);
         parent_fds.erase(
             std::remove(parent_fds.begin(), parent_fds.end(), fd),
             parent_fds.end());
     }
-    if (w.pid > 0) {
-        int status = 0;
-        ::waitpid(w.pid, &status, 0);
-    }
+    w.in = w.out = -1;
+    int status = 0;
+    ::waitpid(w.pid, &status, 0);
 }
 
 } // namespace
 
 DistRunner::DistRunner(DistRunnerOptions opts)
     : opts_(std::move(opts)),
-      workers_(opts_.workers >= 1
-                   ? opts_.workers
-                   : (!opts_.listen.empty() || !opts_.dial.empty())
-                         ? 0   // remote fleet: no implicit local pool
-                         : defaultWorkers())
+      workers_(opts_.workers >= 1 ? opts_.workers : defaultWorkers())
 {}
 
 std::vector<ExperimentResult>
@@ -324,9 +261,7 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
 
     SigpipeIgnore sigpipe_guard;
     std::vector<int> parentFds;
-    // unique_ptr so the pool can grow (TCP peers join mid-sweep)
-    // without invalidating WorkerProc addresses held across the loop.
-    std::vector<std::unique_ptr<WorkerProc>> pool;
+    std::vector<WorkerProc> pool;
 
     std::deque<std::size_t> pending;
     std::vector<int> retries(shards.size(), 0);
@@ -497,22 +432,6 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
     if (pending.empty())
         return out;   // fully restored: nothing to spawn
 
-    // ----- TCP listener: up (and announced) before anything is
-    // spawned, so onListen() may fork/launch the very fleet that will
-    // connect — and those processes never inherit a local pipe
-    // worker's parent-side fds.
-    int listenFd = -1;
-    FdGuard listenGuard{listenFd};
-    if (!opts_.listen.empty()) {
-        int port = 0;
-        listenFd = tcpListen(opts_.listen, port);
-        setNonblock(listenFd);
-        parentFds.push_back(listenFd);
-        emit(strformat("tcp listening on port %d", port));
-        if (opts_.onListen)
-            opts_.onListen(port);
-    }
-
     const std::size_t nworkers = std::min<std::size_t>(
         static_cast<std::size_t>(workers_), pending.size());
     const int respawnBudget =
@@ -527,11 +446,13 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
 
     // Fault injection (tests): applies only to forked workers whose
     // (slot, spawn generation) the fault targets.
-    const auto faultFor = [&](int slot, int gen) -> DistWorkerFault {
+    const auto faultFor = [&](std::size_t slot,
+                              int gen) -> DistWorkerFault {
         if (!opts_.workerArgv.empty())
             return DistWorkerFault{};   // exec'd workers start clean
         const DistWorkerFault &f = opts_.workerFault;
-        if ((f.worker >= 0 && f.worker != slot) ||
+        if ((f.worker >= 0 &&
+             static_cast<std::size_t>(f.worker) != slot) ||
             (f.spawnGeneration >= 0 && f.spawnGeneration != gen))
             return DistWorkerFault{};
         return f;
@@ -558,28 +479,15 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
         pending.push_front(static_cast<std::size_t>(sh));
     };
 
-    const auto workerDied = [&](WorkerProc &w) {
+    const auto workerDied = [&](std::size_t slot) {
+        WorkerProc &w = pool[slot];
         if (!w.alive)
             return;
         const long sh = w.shard;
-        const int slot = w.slot;
-        const bool tcp = w.tcp;
-        const std::string identity = w.identity;
         w.shard = -1;
         closeAndReap(w, parentFds);
         ++workerDeaths;
         failShard(sh);
-        if (tcp) {
-            // A remote worker is not ours to respawn: its supervisor
-            // (or operator) relaunches it and it rejoins through the
-            // listener. Its shard is already requeued.
-            emit(strformat(
-                "tcp worker \"%s\" (slot %d) disconnected (death "
-                "%d)%s",
-                identity.c_str(), slot, workerDeaths,
-                sh >= 0 ? "; shard requeued" : ""));
-            return;
-        }
         // Replace the dead worker while the churn budget lasts: a
         // sweep should survive flaky workers without shrinking its
         // parallelism (and tests can fault the replacement too, via
@@ -588,27 +496,23 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
             respawnsUsed < respawnBudget) {
             ++respawnsUsed;
             const int gen = ++spawnGen[slot];
-            *pool[slot] = spawnWorker(opts_.workerArgv,
-                                      faultFor(slot, gen), parentFds);
-            pool[slot]->slot = slot;
-            emit(strformat("worker %d died (death %d); respawned "
+            pool[slot] = spawnWorker(opts_.workerArgv,
+                                     faultFor(slot, gen), parentFds);
+            emit(strformat("worker %zu died (death %d); respawned "
                            "(%d/%d respawns used)",
                            slot, workerDeaths, respawnsUsed,
                            respawnBudget));
         } else if (resolved < shards.size()) {
             emit(strformat(
-                "worker %d died (death %d); respawn budget spent",
+                "worker %zu died (death %d); respawn budget spent",
                 slot, workerDeaths));
         }
     };
 
-    // Admit-or-assign gate: a TCP peer gets no shards until its hello
-    // validates (a stranger must never hold work).
     const auto assignIdle = [&]() {
-        for (auto &wp : pool) {
-            WorkerProc &w = *wp;
-            if (!w.alive || !w.admitted || w.shard >= 0 ||
-                pending.empty())
+        for (std::size_t k = 0; k < pool.size(); ++k) {
+            WorkerProc &w = pool[k];
+            if (!w.alive || w.shard >= 0 || pending.empty())
                 continue;
             const std::size_t sh = pending.front();
             pending.pop_front();
@@ -623,7 +527,7 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
             w.shard = static_cast<long>(sh);
             w.assignMs = monoMs();
             if (!writeAll(w.in, job))
-                workerDied(w);
+                workerDied(k);
         }
     };
 
@@ -661,18 +565,10 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
         Frame f;
         while (w.alive && tryExtractFrame(w.rbuf, w.rpos, f)) {
             switch (f.type) {
-              case FrameType::hello: {
-                const HelloFrame hf = decodeHelloPayload(f.payload);
+              case FrameType::hello:
+                checkHelloPayload(f.payload);
                 w.helloSeen = true;
-                w.identity = hf.identity;
-                if (w.tcp && !w.admitted) {
-                    w.admitted = true;
-                    emit(strformat("tcp worker joined: \"%s\" "
-                                   "(slot %d)",
-                                   w.identity.c_str(), w.slot));
-                }
                 break;
-              }
               case FrameType::result: {
                 if (!w.helloSeen || w.shard < 0)
                     throw WireError("unexpected result frame");
@@ -730,7 +626,8 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
         }
     };
 
-    const auto serviceWorker = [&](WorkerProc &w) {
+    const auto serviceWorker = [&](std::size_t slot) {
+        WorkerProc &w = pool[slot];
         bool eof = false;
         for (;;) {
             char chunk[1 << 16];
@@ -753,22 +650,8 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
         try {
             processBuffer(w);
         } catch (const WireError &e) {
-            if (w.pid > 0)
-                ::kill(w.pid, SIGKILL);
+            ::kill(w.pid, SIGKILL);
             if (!w.helloSeen) {
-                if (w.tcp) {
-                    // A stranger on the port: garbage, a wrong
-                    // protocol, or a version-skewed worker, before
-                    // any hello validated. On a network listener
-                    // that must not kill the sweep — drop the
-                    // connection (it holds no shard) and keep going.
-                    emit(strformat(
-                        "tcp peer (slot %d) rejected before hello: "
-                        "%s",
-                        w.slot, e.what()));
-                    closeAndReap(w, parentFds);
-                    return;
-                }
                 // Out of protocol before a valid hello: not a flaky
                 // worker but a wrong or version-skewed binary, which
                 // every reassignment would hit identically — reject
@@ -783,91 +666,38 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
             // Malformed reply after a good handshake: the worker is
             // corrupt, not slow. Its shard reassigns to a healthy
             // worker.
-            workerDied(w);
+            workerDied(slot);
             return;
         }
         if (eof)
-            workerDied(w);
+            workerDied(slot);
     };
-
-    // A freshly connected socket enters the pool un-admitted: it is
-    // polled (for its hello) but assigned nothing until the hello
-    // validates or the hello deadline drops it.
-    const auto addTcpPeer = [&](int fd, const std::string &how) {
-        setNonblock(fd);
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof(one));
-        parentFds.push_back(fd);
-        auto w = std::make_unique<WorkerProc>();
-        w->in = w->out = fd;
-        w->alive = true;
-        w->tcp = true;
-        w->slot = static_cast<int>(pool.size());
-        w->joinMs = monoMs();
-        emit(strformat("tcp peer %s (slot %d); awaiting hello",
-                       how.c_str(), w->slot));
-        pool.push_back(std::move(w));
-    };
-
-    // When the pool is empty but a listener is open, how long we have
-    // been waiting for a (re)join before degrading in-process.
-    long long emptySinceMs = -1;
 
     try {
-        // Local slots 0..nworkers-1 are fixed and respawn IN PLACE;
-        // TCP peers append after them (the unique_ptr pool keeps
-        // every WorkerProc address stable across growth).
+        // Slots are fixed; a dead worker respawns IN PLACE.
+        pool.reserve(nworkers);
         for (std::size_t k = 0; k < nworkers; ++k) {
-            pool.push_back(std::make_unique<WorkerProc>(spawnWorker(
-                opts_.workerArgv,
-                faultFor(static_cast<int>(k), 0), parentFds)));
-            pool.back()->slot = static_cast<int>(k);
-        }
-
-        // Dial listening workers after the local spawns (children
-        // spawned later close the sockets via parentFds). A dead
-        // endpoint is skipped, never fatal: the sweep runs on
-        // whoever answered.
-        for (const std::string &ep : opts_.dial) {
-            try {
-                addTcpPeer(tcpConnect(ep), "dialed " + ep);
-            } catch (const std::exception &e) {
-                emit(strformat("tcp dial %s failed: %s (skipping)",
-                               ep.c_str(), e.what()));
-            }
+            pool.push_back(spawnWorker(opts_.workerArgv, faultFor(k, 0),
+                                       parentFds));
         }
 
         while (resolved < shards.size()) {
             assignIdle();
 
-            std::size_t aliveWorkers = 0;
-            for (const auto &wp : pool) {
-                if (wp->alive)
-                    ++aliveWorkers;
+            std::vector<struct pollfd> fds;
+            std::vector<std::size_t> who;
+            for (std::size_t k = 0; k < pool.size(); ++k) {
+                if (!pool[k].alive)
+                    continue;
+                struct pollfd p;
+                p.fd = pool[k].out;
+                p.events = POLLIN;
+                p.revents = 0;
+                fds.push_back(p);
+                who.push_back(k);
             }
-            bool degrade = false;
-            if (aliveWorkers > 0) {
-                emptySinceMs = -1;
-            } else {
-                const long long now = monoMs();
-                if (emptySinceMs < 0)
-                    emptySinceMs = now;
-                // An open listener buys the empty pool a join window
-                // (a rejoining fleet beats running the tail serially)
-                // — but only a window, so an abandoned sweep still
-                // completes on its own.
-                degrade = listenFd < 0 ||
-                          (opts_.joinTimeoutMs >= 0 &&
-                           now - emptySinceMs >= opts_.joinTimeoutMs);
-                if (degrade && listenFd >= 0) {
-                    emit(strformat(
-                        "tcp listener idle %lld ms with no workers; "
-                        "degrading",
-                        static_cast<long long>(now - emptySinceMs)));
-                }
-            }
-            if (degrade) {
+
+            if (fds.empty()) {
                 // Respawn budget spent and the pool is gone, but the
                 // sweep is not: degrade to in-process execution. The
                 // results are identical by construction — a shard's
@@ -905,57 +735,17 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
                 break;
             }
 
-            std::vector<struct pollfd> fds;
-            std::vector<WorkerProc *> who;
-            for (auto &wp : pool) {
-                WorkerProc &w = *wp;
-                if (!w.alive)
-                    continue;
-                struct pollfd p;
-                p.fd = w.out;
-                p.events = POLLIN;
-                p.revents = 0;
-                fds.push_back(p);
-                who.push_back(&w);
-            }
-            int listenPollIdx = -1;
-            if (listenFd >= 0) {
-                listenPollIdx = static_cast<int>(fds.size());
-                struct pollfd p;
-                p.fd = listenFd;
-                p.events = POLLIN;
-                p.revents = 0;
-                fds.push_back(p);
-                who.push_back(nullptr);
-            }
-
-            // Poll no longer than the nearest deadline: a hung
-            // shard, a pending peer's hello window, or the empty
-            // pool's join window.
+            // Poll no longer than the nearest shard deadline.
             int timeoutMs = -1;
             {
                 const long long now = monoMs();
                 long long nearest = LLONG_MAX;
-                for (const WorkerProc *w : who) {
-                    if (!w)
-                        continue;
-                    const long deadline = workerDeadlineMs(*w);
+                for (const std::size_t k : who) {
+                    const long deadline = workerDeadlineMs(pool[k]);
                     if (deadline > 0) {
                         nearest = std::min(
-                            nearest, w->assignMs + deadline - now);
+                            nearest, pool[k].assignMs + deadline - now);
                     }
-                    if (w->tcp && !w->admitted &&
-                        opts_.helloTimeoutMs > 0) {
-                        nearest = std::min(
-                            nearest,
-                            w->joinMs + opts_.helloTimeoutMs - now);
-                    }
-                }
-                if (aliveWorkers == 0 && listenFd >= 0 &&
-                    opts_.joinTimeoutMs >= 0) {
-                    nearest = std::min(
-                        nearest,
-                        emptySinceMs + opts_.joinTimeoutMs - now);
                 }
                 if (nearest != LLONG_MAX) {
                     timeoutMs = static_cast<int>(std::min<long long>(
@@ -973,80 +763,44 @@ DistRunner::run(const std::vector<ExperimentSpec> &specs) const
                     std::string("DistRunner: poll(): ") +
                     std::strerror(errno));
             }
-            // Admit connections first, then drain replies: a peer
-            // that connected and hello'd inside one poll round is
-            // assignable by the next assignIdle().
-            if (listenPollIdx >= 0 && fds[listenPollIdx].revents) {
-                for (;;) {
-                    const int cfd = ::accept4(listenFd, nullptr,
-                                              nullptr, SOCK_CLOEXEC);
-                    if (cfd < 0)
-                        break;
-                    addTcpPeer(cfd, "connected");
-                }
-            }
             for (std::size_t i = 0; i < fds.size(); ++i) {
-                if (fds[i].revents && who[i])
-                    serviceWorker(*who[i]);
-            }
-
-            // Drop pending peers that never presented a valid hello:
-            // strangers (or half-open connections) must not occupy
-            // the pool past their window. They hold no shard.
-            if (opts_.helloTimeoutMs > 0) {
-                const long long now = monoMs();
-                for (auto &wp : pool) {
-                    WorkerProc &w = *wp;
-                    if (!w.alive || !w.tcp || w.admitted ||
-                        now - w.joinMs < opts_.helloTimeoutMs)
-                        continue;
-                    emit(strformat(
-                        "tcp peer (slot %d) silent for %lld ms "
-                        "before hello; dropping",
-                        w.slot,
-                        static_cast<long long>(now - w.joinMs)));
-                    closeAndReap(w, parentFds);
-                }
+                if (fds[i].revents)
+                    serviceWorker(who[i]);
             }
 
             // Reap hung workers: alive, a shard outstanding, and
-            // silent past the deadline. SIGKILL (pipe) or a socket
-            // close (TCP) converts "hung" into the crash path —
-            // reassign + respawn within budget.
-            {
-                const long long now = monoMs();
-                for (auto &wp : pool) {
-                    WorkerProc &w = *wp;
-                    if (!w.alive || w.shard < 0)
-                        continue;
-                    const long deadline = workerDeadlineMs(w);
-                    if (deadline <= 0 ||
-                        now - w.assignMs < deadline)
-                        continue;
-                    const Shard &s =
-                        shards[static_cast<std::size_t>(w.shard)];
-                    emit(strformat(
-                        "worker %d hung on shard (spec \"%s\" seed "
-                        "%d) for %lld ms (deadline %ld ms); killing",
-                        w.slot, specs[s.spec].label.c_str(), s.seed,
-                        static_cast<long long>(now - w.assignMs),
-                        deadline));
-                    if (w.pid > 0)
-                        ::kill(w.pid, SIGKILL);
-                    workerDied(w);
-                }
+            // silent past the deadline. SIGKILL converts "hung" into
+            // the crash path — reassign + respawn within budget.
+            const long long now = monoMs();
+            for (std::size_t k = 0; k < pool.size(); ++k) {
+                const WorkerProc &w = pool[k];
+                if (!w.alive || w.shard < 0)
+                    continue;
+                const long deadline = workerDeadlineMs(w);
+                if (deadline <= 0 || now - w.assignMs < deadline)
+                    continue;
+                const Shard &s =
+                    shards[static_cast<std::size_t>(w.shard)];
+                emit(strformat(
+                    "worker %zu hung on shard (spec \"%s\" seed %d) "
+                    "for %lld ms (deadline %ld ms); killing",
+                    k, specs[s.spec].label.c_str(), s.seed,
+                    static_cast<long long>(now - w.assignMs),
+                    deadline));
+                ::kill(w.pid, SIGKILL);
+                workerDied(k);
             }
         }
 
-        // Clean shutdown: EOF on each worker's job pipe (or socket)
-        // makes its serve loop return 0.
-        for (auto &wp : pool)
-            closeAndReap(*wp, parentFds);
+        // Clean shutdown: EOF on each worker's job pipe makes its
+        // serve loop return 0.
+        for (WorkerProc &w : pool)
+            closeAndReap(w, parentFds);
     } catch (...) {
-        for (auto &wp : pool) {
-            if (wp->alive && wp->pid > 0)
-                ::kill(wp->pid, SIGKILL);
-            closeAndReap(*wp, parentFds);
+        for (WorkerProc &w : pool) {
+            if (w.alive)
+                ::kill(w.pid, SIGKILL);
+            closeAndReap(w, parentFds);
         }
         throw;
     }
@@ -1072,136 +826,14 @@ runExperimentsDist(const std::vector<ExperimentSpec> &specs,
 }
 
 // ---------------------------------------------------------------------
-// TCP endpoints
-// ---------------------------------------------------------------------
-
-int
-tcpListen(const std::string &endpoint, int &bound_port)
-{
-    std::string host;
-    std::string port;
-    splitEndpoint(endpoint, host, port);
-    struct addrinfo hints;
-    std::memset(&hints, 0, sizeof(hints));
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_PASSIVE;
-    struct addrinfo *res = nullptr;
-    const int gai =
-        ::getaddrinfo(host.empty() ? nullptr : host.c_str(),
-                      port.c_str(), &hints, &res);
-    if (gai != 0) {
-        throw std::runtime_error("tcpListen: cannot resolve " +
-                                 endpoint + ": " +
-                                 ::gai_strerror(gai));
-    }
-    int fd = -1;
-    std::string err = "no usable addresses";
-    for (struct addrinfo *ai = res; ai; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family,
-                      ai->ai_socktype | SOCK_CLOEXEC,
-                      ai->ai_protocol);
-        if (fd < 0) {
-            err = std::strerror(errno);
-            continue;
-        }
-        const int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        if (::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
-            ::listen(fd, 64) == 0) {
-            break;
-        }
-        err = std::strerror(errno);
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
-    if (fd < 0) {
-        throw std::runtime_error("tcpListen: cannot listen on " +
-                                 endpoint + ": " + err);
-    }
-    struct sockaddr_storage ss;
-    socklen_t sl = sizeof(ss);
-    bound_port = 0;
-    if (::getsockname(fd, reinterpret_cast<struct sockaddr *>(&ss),
-                      &sl) == 0) {
-        if (ss.ss_family == AF_INET) {
-            bound_port = ntohs(
-                reinterpret_cast<struct sockaddr_in *>(&ss)
-                    ->sin_port);
-        } else if (ss.ss_family == AF_INET6) {
-            bound_port = ntohs(
-                reinterpret_cast<struct sockaddr_in6 *>(&ss)
-                    ->sin6_port);
-        }
-    }
-    return fd;
-}
-
-int
-tcpConnect(const std::string &endpoint, long retry_ms)
-{
-    std::string host;
-    std::string port;
-    splitEndpoint(endpoint, host, port);
-    if (host.empty())
-        host = "127.0.0.1";
-    const long long giveUp = monoMs() + retry_ms;
-    std::string err = "unknown error";
-    for (;;) {
-        struct addrinfo hints;
-        std::memset(&hints, 0, sizeof(hints));
-        hints.ai_family = AF_UNSPEC;
-        hints.ai_socktype = SOCK_STREAM;
-        struct addrinfo *res = nullptr;
-        const int gai = ::getaddrinfo(host.c_str(), port.c_str(),
-                                      &hints, &res);
-        if (gai != 0) {
-            err = ::gai_strerror(gai);
-        } else {
-            for (struct addrinfo *ai = res; ai; ai = ai->ai_next) {
-                const int fd =
-                    ::socket(ai->ai_family,
-                             ai->ai_socktype | SOCK_CLOEXEC,
-                             ai->ai_protocol);
-                if (fd < 0) {
-                    err = std::strerror(errno);
-                    continue;
-                }
-                if (::connect(fd, ai->ai_addr, ai->ai_addrlen) ==
-                    0) {
-                    ::freeaddrinfo(res);
-                    const int one = 1;
-                    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                                 sizeof(one));
-                    return fd;
-                }
-                err = std::strerror(errno);
-                ::close(fd);
-            }
-            ::freeaddrinfo(res);
-        }
-        // The retry window exists so a fleet can be launched before
-        // (or while) the sweep that will accept it comes up.
-        if (monoMs() >= giveUp)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    throw std::runtime_error("tcpConnect: cannot connect to " +
-                             endpoint + ": " + err);
-}
-
-// ---------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------
 
 int
-runDistWorker(int in_fd, int out_fd, const DistWorkerFault &fault,
-              const std::string &identity)
+runDistWorker(int in_fd, int out_fd, const DistWorkerFault &fault)
 {
     std::string hello;
-    appendFrame(hello, FrameType::hello, encodeHelloPayload(identity));
+    appendFrame(hello, FrameType::hello, encodeHelloPayload());
     if (!writeAll(out_fd, hello))
         return 2;
 
@@ -1286,21 +918,6 @@ runDistWorker(int in_fd, int out_fd, const DistWorkerFault &fault,
             served == fault.garbageAfterShards) {
             // 0xee is not a frame type: the parent's decoder throws.
             writeAll(out_fd, std::string(64, '\xee'));
-            return 3;
-        }
-        if (fault.disconnectAfterShards >= 0 &&
-            served == fault.disconnectAfterShards) {
-            // Half a result frame, then a hard close. SO_LINGER 0
-            // turns the close into a RST on a socket — the rudest
-            // disconnect a remote worker can produce; on a pipe the
-            // setsockopt is a no-op and this degrades to truncate.
-            writeAll(out_fd, reply.substr(0, reply.size() / 2));
-            struct linger lg;
-            lg.l_onoff = 1;
-            lg.l_linger = 0;
-            ::setsockopt(out_fd, SOL_SOCKET, SO_LINGER, &lg,
-                         sizeof(lg));
-            ::close(out_fd);
             return 3;
         }
         if (!writeAll(out_fd, reply))

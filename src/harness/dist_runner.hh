@@ -34,26 +34,12 @@
  * shards instead of recomputing them. The only unsurvivable loss is
  * the checkpoint file itself.
  *
- * Workers default to forked children running the worker loop
- * in-process (works from any binary: tests, benches). Setting
- * workerArgv instead execs an external worker — `sweep_tool worker`
- * speaks exactly this protocol on stdin/stdout, which is the seam a
- * multi-host dispatcher plugs into (ship job frames over any byte
- * stream, not just a local pipe).
- *
- * Cross-host TCP transport: the same frame conversation runs over
- * connected sockets. The parent can open a listener (`listen`) that
- * admits any peer presenting a valid hello — `sweep_tool worker
- * --connect HOST:PORT` dials it — and can itself dial listening
- * workers (`dial`, fed by `sweep_tool run --hosts`). Membership is
- * elastic: workers may join at any point of the sweep and are handed
- * shards immediately; a worker that disconnects (cleanly, mid-frame,
- * or by vanishing) has its shard reassigned exactly like a pipe
- * worker's crash. A connected stranger — silent, garbage-speaking, or
- * version-skewed before its hello — is dropped without touching the
- * sweep. Local pipe workers and remote TCP workers mix freely in one
- * pool behind one frame-I/O poll loop, and the per-shard deadline,
- * retry budget, and checkpoint cover the whole fleet.
+ * Workers are forked children running the worker loop in-process
+ * (works from any binary: tests, benches) or, with workerArgv set,
+ * exec'd external workers — `sweep_tool worker` speaks exactly this
+ * protocol on stdin/stdout. Either way the transport is one pipe pair
+ * per worker; the frame layer itself only sees an (in fd, out fd)
+ * pair.
  */
 
 #ifndef TOKENSIM_HARNESS_DIST_RUNNER_HH
@@ -119,25 +105,16 @@ struct DistWorkerFault
      * reply, then exit — the malformed-reply path.
      */
     int garbageAfterShards = -1;
-
-    /**
-     * Write the first half of the result frame, then hard-close the
-     * output descriptor (on a socket: SO_LINGER 0, so the peer sees a
-     * RST, not a tidy FIN) — the network twin of truncateAfterShards:
-     * a worker disconnecting mid-result-frame.
-     */
-    int disconnectAfterShards = -1;
 };
 
 /** Tuning knobs for the DistRunner. */
 struct DistRunnerOptions
 {
     /**
-     * Local worker process count. 0 picks the TOKENSIM_WORKERS
-     * environment variable if set, else
-     * std::thread::hardware_concurrency() — unless a TCP endpoint
-     * (listen/dial) is configured, in which case 0 means zero local
-     * workers (the fleet is remote).
+     * Worker process count. 0 picks the TOKENSIM_WORKERS environment
+     * variable if set to >= 1, else
+     * std::thread::hardware_concurrency(); a malformed value throws
+     * ArgError.
      */
     int workers = 0;
 
@@ -191,44 +168,6 @@ struct DistRunnerOptions
     std::vector<std::string> workerArgv;
 
     /**
-     * TCP listener address "HOST:PORT" (port 0 binds an ephemeral
-     * port); empty disables. Any peer that connects and presents a
-     * valid hello joins the worker pool — before the sweep starts or
-     * at any point during it (elastic membership).
-     */
-    std::string listen;
-
-    /**
-     * Invoked once with the bound port as soon as the listener is up
-     * — before any worker is spawned or dialed, so the callback may
-     * launch the fleet that will connect. Must not throw.
-     */
-    std::function<void(int port)> onListen;
-
-    /**
-     * "HOST:PORT" endpoints of listening workers (`sweep_tool worker
-     * --listen`) the parent dials at startup. An endpoint that cannot
-     * be reached is reported and skipped, never fatal — the sweep
-     * runs on whoever answered (and whoever later connects).
-     */
-    std::vector<std::string> dial;
-
-    /**
-     * How long a connected TCP peer may take to present a valid
-     * hello before it is dropped as a stranger. A pipe worker is our
-     * own spawn and is exempt.
-     */
-    long helloTimeoutMs = 10000;
-
-    /**
-     * How long the runner waits for a TCP worker to (re)join when no
-     * workers remain but a listener is open, before degrading to
-     * in-process execution. < 0 waits forever (only sensible when
-     * something supervises the fleet).
-     */
-    long joinTimeoutMs = 30000;
-
-    /**
      * Streaming observer: called once per completed shard and once
      * per completed design point (with its partial-aggregate digest
      * line), as completions arrive — i.e. out of spec order. Null
@@ -246,10 +185,7 @@ class DistRunner
   public:
     explicit DistRunner(DistRunnerOptions opts = {});
 
-    /**
-     * Resolved local worker count (>= 1; may be 0 when a TCP
-     * endpoint is configured and the fleet is remote).
-     */
+    /** Resolved worker count (>= 1). */
     int workers() const { return workers_; }
 
     /**
@@ -285,40 +221,15 @@ runExperimentsDist(const std::vector<ExperimentSpec> &specs,
                    int workers = 0);
 
 /**
- * The worker side of the protocol: send hello (carrying @p identity,
- * e.g. "host:pid"), then serve job frames from @p in_fd — one System
- * run per job, reusing the System across jobs exactly like a
- * ParallelRunner worker arena — replying on @p out_fd until EOF.
- * Returns the process exit code (0 on a clean EOF shutdown). Runs in
- * forked DistRunner children, under `sweep_tool worker` (fds 0/1),
- * and over a connected socket (pass the same fd twice).
+ * The worker side of the protocol: send hello, then serve job frames
+ * from @p in_fd — one System run per job, reusing the System across
+ * jobs exactly like a ParallelRunner worker arena — replying on
+ * @p out_fd until EOF. Returns the process exit code (0 on a clean EOF
+ * shutdown). Runs in forked DistRunner children and under `sweep_tool
+ * worker` (fds 0/1).
  */
 int runDistWorker(int in_fd, int out_fd,
-                  const DistWorkerFault &fault = {},
-                  const std::string &identity = {});
-
-// ---------------------------------------------------------------------
-// TCP endpoints. Thin, throwing wrappers over the sockets API so the
-// worker CLI and the tests speak the transport through one door.
-// ---------------------------------------------------------------------
-
-/**
- * Bind and listen on "HOST:PORT" ("PORT" alone binds every
- * interface; port 0 picks an ephemeral port, reported via
- * @p bound_port). Returns the listening fd (blocking; callers set
- * O_NONBLOCK if they poll it).
- * @throws std::runtime_error naming the endpoint on any failure.
- */
-int tcpListen(const std::string &endpoint, int &bound_port);
-
-/**
- * Resolve and connect to "HOST:PORT". Retries (connection refused /
- * not yet resolvable) until @p retry_ms elapses — 0 tries once — so
- * a worker can be launched before the sweep that will accept it.
- * Returns a connected blocking fd.
- * @throws std::runtime_error naming the endpoint on failure.
- */
-int tcpConnect(const std::string &endpoint, long retry_ms = 0);
+                  const DistWorkerFault &fault = {});
 
 } // namespace tokensim
 

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
+
+#include "harness/argparse.hh"
 
 namespace tokensim {
 
@@ -14,11 +15,8 @@ namespace {
 int
 defaultThreads()
 {
-    if (const char *s = std::getenv("TOKENSIM_THREADS")) {
-        const long v = std::strtol(s, nullptr, 10);
-        if (v >= 1)
-            return static_cast<int>(v);
-    }
+    if (const int v = envInt("TOKENSIM_THREADS", 0, 0); v >= 1)
+        return v;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? static_cast<int>(hw) : 1;
 }

@@ -37,7 +37,9 @@ struct ParallelRunnerOptions
 {
     /**
      * Worker thread count. 0 picks the TOKENSIM_THREADS environment
-     * variable if set, else std::thread::hardware_concurrency().
+     * variable if set to >= 1, else
+     * std::thread::hardware_concurrency(); a malformed value throws
+     * ArgError.
      * 1 runs everything on the calling thread (no threads spawned).
      */
     int threads = 0;

@@ -461,50 +461,32 @@ tryExtractFrame(const std::string &buf, std::size_t &pos, Frame &out)
 }
 
 std::string
-encodeHelloPayload(const std::string &identity)
+encodeHelloPayload()
 {
-    if (identity.size() > maxHelloIdentity) {
-        throw WireError("hello identity " +
-                        std::to_string(identity.size()) +
-                        " bytes exceeds the cap");
-    }
     WireWriter w;
     w.raw(wireMagic, sizeof(wireMagic));
     w.varint(wireVersion);
-    w.str(identity);
     return w.take();
 }
 
-HelloFrame
-decodeHelloPayload(const std::string &payload)
+void
+checkHelloPayload(const std::string &payload)
 {
     WireReader r(payload);
     char magic[sizeof(wireMagic)];
     r.raw(magic, sizeof(magic), "hello magic");
     if (std::memcmp(magic, wireMagic, sizeof(wireMagic)) != 0)
         throw WireError("bad magic (not a tokensim sweep worker)");
-    HelloFrame hf;
-    hf.version = r.varint("hello version");
-    // Version before identity: a skewed peer's identity encoding may
-    // itself be unparseable, and "version mismatch" is the error the
+    const std::uint64_t version = r.varint("hello version");
+    // Version before the end check: an older or newer layout may
+    // carry more fields, and "version mismatch" is the error the
     // operator can act on.
-    if (hf.version != wireVersion) {
+    if (version != wireVersion) {
         throw WireError("version mismatch: worker speaks " +
-                        std::to_string(hf.version) +
-                        ", parent speaks " +
+                        std::to_string(version) + ", parent speaks " +
                         std::to_string(wireVersion));
     }
-    hf.identity = r.str("hello identity");
-    if (hf.identity.size() > maxHelloIdentity)
-        throw WireError("hello identity exceeds the cap");
     r.expectEnd("hello");
-    return hf;
-}
-
-void
-checkHelloPayload(const std::string &payload)
-{
-    (void)decodeHelloPayload(payload);
 }
 
 std::string

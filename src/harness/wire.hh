@@ -24,16 +24,14 @@
  *   ...     payload bytes
  *
  * The conversation (harness/dist_runner.cc): the worker opens with a
- * `hello` frame (8-byte magic "TOKSWEEP" + varint version + a short
- * identity string naming the worker, e.g. "host:pid") so the parent
- * can reject a mismatched binary before shipping work — and, on a TCP
- * transport, reject a stranger that connected to the sweep port; the
+ * `hello` frame (8-byte magic "TOKSWEEP" + varint version) so the
+ * parent can reject a mismatched binary before shipping work; the
  * parent sends `job` frames (varint job id, SystemConfig, varint
  * seed); the worker answers each with a `result` frame (varint job
  * id, System::Results) or an `error` frame (varint job id, message
- * string) and exits cleanly at EOF on its input. The same byte
- * stream runs unchanged over a pipe pair or a connected socket —
- * the transport is DistRunner's business, not the format's.
+ * string) and exits cleanly at EOF on its input. DistRunner carries
+ * the stream over one pipe pair per worker; the format itself only
+ * needs a byte stream.
  *
  * Versioning: bump wireVersion whenever any encoded struct gains,
  * loses, or reorders a field. Struct payloads end with an
@@ -76,14 +74,16 @@ namespace tokensim {
 /** Bumped on any change to an encoded layout. */
 // v2: System::Results became a named-metric registry; the per-field
 //     Results encoding was replaced by the generic metric codec.
-// v3: the hello payload gained a worker identity/host string (the
-//     cross-host TCP transport needs to name who just connected).
+// v3: the hello payload gained a "host:pid" worker name string (for
+//     the cross-host transport, since removed).
 // v4: SystemConfig gained the SMARTS sampling spec (ffOps,
 //     measureOps, windows) and the warm-state snapshot payload.
 // v5: WorkloadSpec gained the "ycsb"/"tpcc" transactional-preset
 //     knobs; SystemConfig gained the multi-tenant group list
 //     (per-tenant WorkloadSpec + node count).
-constexpr std::uint32_t wireVersion = 5;
+// v6: the hello payload dropped the worker name string (pipe workers
+//     are the parent's own children; nothing needs naming).
+constexpr std::uint32_t wireVersion = 6;
 
 /** Stream magic carried by the hello frame. */
 constexpr char wireMagic[8] = {'T', 'O', 'K', 'S', 'W', 'E', 'E', 'P'};
@@ -168,30 +168,14 @@ void appendFrame(std::string &out, FrameType type,
 bool tryExtractFrame(const std::string &buf, std::size_t &pos,
                      Frame &out);
 
-/**
- * Cap on the hello identity string: an identity is "host:pid"-sized,
- * so anything longer is a corrupt length, not a long hostname.
- */
-constexpr std::uint64_t maxHelloIdentity = 256;
-
-/** The parsed hello payload: version + who is speaking. */
-struct HelloFrame
-{
-    std::uint64_t version = 0;
-    std::string identity;   ///< e.g. "host:pid"; may be empty
-};
-
-/** The hello payload: magic + wireVersion + identity. */
-std::string encodeHelloPayload(const std::string &identity = {});
+/** The hello payload: magic + wireVersion. */
+std::string encodeHelloPayload();
 
 /**
- * Validate magic and version (both typed errors — a version mismatch
- * names both versions so a skewed fleet is diagnosable), then the
- * identity (length-capped, no trailing bytes).
+ * Validate magic, then version (both typed errors — a version
+ * mismatch names both versions so a skewed worker binary is
+ * diagnosable), then that nothing trails them.
  */
-HelloFrame decodeHelloPayload(const std::string &payload);
-
-/** decodeHelloPayload with the identity discarded. */
 void checkHelloPayload(const std::string &payload);
 
 std::string encodeJobPayload(std::uint64_t job_id,

@@ -3,12 +3,16 @@
  * Strict CLI numeric parsing (harness/argparse.hh): every malformed
  * form the sweep tool used to accept silently — trailing garbage,
  * wrapped negatives, empty strings, overflow — must throw ArgError
- * with a message naming the offending option.
+ * with a message naming the offending option. The TOKENSIM_*
+ * environment knobs (envInt/envU64) follow the same rules.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
+#include <optional>
+#include <string>
 
 #include "harness/argparse.hh"
 
@@ -108,6 +112,80 @@ TEST(ArgParse, IntNarrowsWithRangeCheck)
     // Beyond int range is out of the (defaulted) caller range.
     expectArgError([] { parseInt("--nodes", "2147483648", 1); },
                    "--nodes", "2147483648");
+}
+
+/** Sets an environment variable for one test, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        if (value)
+            ::setenv(name, value, 1);
+        else
+            ::unsetenv(name);
+    }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+    ~ScopedEnv()
+    {
+        if (old_)
+            ::setenv(name_, old_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+TEST(ArgParse, EnvKnobUnsetOrEmptyYieldsTheFallback)
+{
+    {
+        ScopedEnv env("TOKENSIM_TEST_KNOB", nullptr);
+        EXPECT_EQ(envInt("TOKENSIM_TEST_KNOB", 7, 1), 7);
+        EXPECT_EQ(envU64("TOKENSIM_TEST_KNOB", 6000, 1), 6000u);
+    }
+    ScopedEnv env("TOKENSIM_TEST_KNOB", "");
+    EXPECT_EQ(envInt("TOKENSIM_TEST_KNOB", 7, 1), 7);
+    EXPECT_EQ(envU64("TOKENSIM_TEST_KNOB", 6000, 1), 6000u);
+}
+
+TEST(ArgParse, EnvKnobParsesStrictly)
+{
+    ScopedEnv env("TOKENSIM_TEST_KNOB", "12");
+    EXPECT_EQ(envInt("TOKENSIM_TEST_KNOB", 7, 1), 12);
+    EXPECT_EQ(envU64("TOKENSIM_TEST_KNOB", 6000, 1), 12u);
+}
+
+TEST(ArgParse, EnvKnobGarbageNamesTheVariable)
+{
+    // strtoull read "abc" as 0 ops and "8x" as 8; both must now be
+    // errors naming the variable and echoing its text.
+    {
+        ScopedEnv env("TOKENSIM_TEST_KNOB", "abc");
+        expectArgError([] { envU64("TOKENSIM_TEST_KNOB", 6000, 1); },
+                       "TOKENSIM_TEST_KNOB", "abc");
+        expectArgError([] { envInt("TOKENSIM_TEST_KNOB", 2, 1); },
+                       "TOKENSIM_TEST_KNOB", "abc");
+    }
+    ScopedEnv env("TOKENSIM_TEST_KNOB", "8x");
+    expectArgError([] { envInt("TOKENSIM_TEST_KNOB", 0, 0); },
+                   "TOKENSIM_TEST_KNOB", "8x");
+}
+
+TEST(ArgParse, EnvKnobEnforcesRange)
+{
+    ScopedEnv env("TOKENSIM_TEST_KNOB", "-1");
+    expectArgError([] { envInt("TOKENSIM_TEST_KNOB", 0, 0); },
+                   "TOKENSIM_TEST_KNOB", "[0, 2147483647]");
+    expectArgError([] { envU64("TOKENSIM_TEST_KNOB", 1, 1); },
+                   "TOKENSIM_TEST_KNOB", "-1");
 }
 
 } // namespace

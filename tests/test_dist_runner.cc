@@ -17,13 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -406,6 +406,45 @@ TEST(DistRunner, NonWorkerBinaryFailsHandshakeWithClearError)
     }
 }
 
+TEST(DistRunner, VersionSkewedWorkerFailsHandshakeWithTypedMessage)
+{
+    // An exec'd worker from an older build: its hello is well-formed
+    // in the previous wire version's layout (magic, version, and the
+    // "host:pid" name string that version carried). The run must be
+    // refused at the handshake with the typed version-mismatch
+    // message, so the operator knows to rebuild the worker binary.
+    WireWriter w;
+    w.raw(wireMagic, sizeof(wireMagic));
+    w.varint(wireVersion - 1);
+    w.str("old-build:1");
+    std::string frame;
+    appendFrame(frame, FrameType::hello, w.take());
+    std::string escaped;
+    for (const unsigned char c : frame) {
+        char oct[8];
+        std::snprintf(oct, sizeof(oct), "\\%03o", c);
+        escaped += oct;
+    }
+
+    SystemConfig cfg;
+    cfg.numNodes = 4;
+    cfg.opsPerProcessor = 10;
+    std::vector<ExperimentSpec> specs{ExperimentSpec{cfg, 1, "v"}};
+    DistRunnerOptions opts;
+    opts.workers = 2;
+    opts.workerArgv = {"/bin/sh", "-c",
+                       "printf '" + escaped + "'; exec cat"};
+    try {
+        DistRunner(std::move(opts)).run(specs);
+        FAIL() << "a version-skewed worker passed the handshake";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("handshake"), std::string::npos) << what;
+        EXPECT_NE(what.find("version mismatch"), std::string::npos)
+            << what;
+    }
+}
+
 TEST(DistRunner, RecordTraceIsRejectedUpFront)
 {
     SystemConfig cfg;
@@ -703,473 +742,6 @@ TEST(DistDeterminism, RepeatedDistRunsAreIdentical)
     const std::vector<std::string> b =
         digestsOf(makeRunner(3).run(specs));
     EXPECT_EQ(a, b);
-}
-
-// ---------------------------------------------------------------------
-// TCP transport. The same frame conversation over connected sockets:
-// workers fork from the test binary inside onListen() (so the
-// listener is provably up first) and dial the ephemeral port. Every
-// gate is the same as the pipe suite's: digests equal to the serial
-// oracle, no matter what the socket does.
-// ---------------------------------------------------------------------
-
-/**
- * Fork a TCP worker child: dial 127.0.0.1:@p port (retrying, so it
- * may be forked before the parent polls accept), serve shards with
- * @p fault, exit with the serve loop's code. The child is a forked
- * copy of the test binary — only _exit() from it.
- */
-pid_t
-spawnTcpWorker(int port, const DistWorkerFault &fault = {},
-               int delay_ms = 0,
-               const std::string &identity = "tcp-test-worker")
-{
-    const pid_t pid = ::fork();
-    if (pid != 0)
-        return pid;
-    // Drop every inherited descriptor: a forked copy of the test's
-    // listening socket would keep the port accepting after the sweep
-    // ends, and a late joiner would then connect to a listener nobody
-    // will ever accept from (and hang instead of being refused).
-    for (int fd = 3; fd < 1024; ++fd)
-        ::close(fd);
-    if (delay_ms > 0)
-        ::usleep(static_cast<useconds_t>(delay_ms) * 1000);
-    try {
-        const int fd = tcpConnect(
-            "127.0.0.1:" + std::to_string(port), 10000);
-        _exit(runDistWorker(fd, fd, fault, identity));
-    } catch (...) {
-        _exit(9);
-    }
-}
-
-void
-reapAll(std::vector<pid_t> &pids)
-{
-    for (const pid_t pid : pids) {
-        int status = 0;
-        ::waitpid(pid, &status, 0);
-    }
-    pids.clear();
-}
-
-TEST(DistTcp, ZeroLocalWorkersWhenFleetIsRemote)
-{
-    DistRunnerOptions opts;
-    opts.listen = "127.0.0.1:0";
-    EXPECT_EQ(DistRunner(std::move(opts)).workers(), 0);
-}
-
-TEST(DistTcp, MatchesSerialAtEveryWidth)
-{
-    // The TCP leg of the differential gate: a remote-only fleet of
-    // 1/2/4 connecting workers on a mixed preset+trace sweep, bit-
-    // identical to the serial oracle (and so to ParallelRunner and
-    // the pipe DistRunner, which the suite pins to the same oracle).
-    std::filesystem::create_directories("test_traces");
-    const std::string path = "test_traces/dist_tcp_mixed.trace";
-
-    SystemConfig rec;
-    rec.numNodes = 8;
-    rec.protocol = ProtocolKind::tokenB;
-    rec.workload = "producer-consumer";
-    rec.opsPerProcessor = 300;
-    rec.seed = 11;
-    rec.recordTrace = path;
-    runOnce(rec, rec.seed);
-
-    std::vector<ExperimentSpec> specs = smallMatrix();
-    SystemConfig replay = rec;
-    replay.recordTrace.clear();
-    replay.workload = WorkloadSpec::trace(path);
-    specs.push_back(ExperimentSpec{replay, 2, "replay"});
-
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    for (int workers : {1, 2, 4}) {
-        SCOPED_TRACE("tcp workers=" + std::to_string(workers));
-        std::vector<pid_t> pids;
-        DistRunnerOptions opts;
-        opts.listen = "127.0.0.1:0";
-        opts.onListen = [&](int port) {
-            for (int k = 0; k < workers; ++k)
-                pids.push_back(spawnTcpWorker(port));
-        };
-        expectSameDigests(DistRunner(std::move(opts)).run(specs),
-                          serial);
-        reapAll(pids);
-    }
-}
-
-TEST(DistTcp, LateJoinersAndMixedFleetMatchSerial)
-{
-    // Elastic membership: two local pipe workers and one TCP worker
-    // start the sweep; a second TCP worker forks only after the
-    // second shard completes — provably mid-sweep, with ten shards
-    // still outstanding, so its join cannot race the shutdown.
-    // Joiners are handed shards on arrival; the merge cannot tell.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    std::vector<pid_t> pids;
-    int joins = 0;
-    int shardsDone = 0;
-    int lateAtPort = 0;
-    bool lateSpawned = false;
-    DistRunnerOptions opts;
-    opts.workers = 2;
-    opts.listen = "127.0.0.1:0";
-    opts.onListen = [&](int port) {
-        lateAtPort = port;
-        pids.push_back(spawnTcpWorker(port, {}, 0, "early"));
-    };
-    opts.progress = [&](const std::string &l) {
-        if (l.rfind("tcp worker joined", 0) == 0)
-            ++joins;
-        if (l.rfind("shard ", 0) == 0 && ++shardsDone == 2 &&
-            !lateSpawned) {
-            lateSpawned = true;
-            pids.push_back(
-                spawnTcpWorker(lateAtPort, {}, 0, "late"));
-        }
-    };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
-    reapAll(pids);
-    EXPECT_EQ(joins, 2);
-}
-
-TEST(DistTcp, DialedWorkerServesSweepAndDeadEndpointIsSkipped)
-{
-    // The other connection direction: a `worker --listen`-shaped
-    // child opens its own ephemeral port (reported back through a
-    // pipe), the parent dials it via the host manifest. A dead
-    // manifest entry is skipped, never fatal.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    int port_pipe[2];
-    ASSERT_EQ(::pipe(port_pipe), 0);
-    const pid_t child = ::fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        ::close(port_pipe[0]);
-        try {
-            int port = 0;
-            const int lfd = tcpListen("127.0.0.1:0", port);
-            (void)!::write(port_pipe[1], &port, sizeof(port));
-            ::close(port_pipe[1]);
-            const int fd = ::accept(lfd, nullptr, nullptr);
-            ::close(lfd);
-            if (fd < 0)
-                _exit(9);
-            _exit(runDistWorker(fd, fd, {}, "dialed-worker"));
-        } catch (...) {
-            _exit(9);
-        }
-    }
-    ::close(port_pipe[1]);
-    int port = 0;
-    ASSERT_EQ(::read(port_pipe[0], &port, sizeof(port)),
-              static_cast<ssize_t>(sizeof(port)));
-    ::close(port_pipe[0]);
-
-    bool sawSkip = false;
-    DistRunnerOptions opts;
-    opts.dial = {"127.0.0.1:" + std::to_string(port),
-                 "127.0.0.1:1"};   // nothing listens on port 1
-    opts.progress = [&](const std::string &l) {
-        if (l.find("dial") != std::string::npos &&
-            l.find("failed") != std::string::npos)
-            sawSkip = true;
-    };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    EXPECT_TRUE(sawSkip);
-}
-
-TEST(DistTcpFault, EveryPipeFaultShapeRecoversOverSockets)
-{
-    // The pipe suite's fault shapes, re-run over TCP: crash (RST'd
-    // peer), truncated reply then FIN, garbage frame, and the TCP-
-    // only shape — half a result frame then a hard RST close. One
-    // healthy worker carries the reassigned shards; TCP workers are
-    // never respawned, so recovery IS the reassignment.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    struct Shape
-    {
-        const char *name;
-        DistWorkerFault fault;
-    };
-    std::vector<Shape> shapes;
-    {
-        Shape s;
-        s.name = "crash";
-        s.fault.crashAfterShards = 1;
-        shapes.push_back(s);
-    }
-    {
-        Shape s;
-        s.name = "truncate";
-        s.fault.truncateAfterShards = 0;
-        shapes.push_back(s);
-    }
-    {
-        Shape s;
-        s.name = "garbage";
-        s.fault.garbageAfterShards = 0;
-        shapes.push_back(s);
-    }
-    {
-        Shape s;
-        s.name = "disconnect-mid-frame";
-        s.fault.disconnectAfterShards = 0;
-        shapes.push_back(s);
-    }
-
-    for (const Shape &shape : shapes) {
-        SCOPED_TRACE(shape.name);
-        std::vector<pid_t> pids;
-        bool sawDeath = false;
-        DistRunnerOptions opts;
-        opts.listen = "127.0.0.1:0";
-        opts.onListen = [&](int port) {
-            pids.push_back(
-                spawnTcpWorker(port, shape.fault, 0, "faulty"));
-            pids.push_back(spawnTcpWorker(port, {}, 0, "healthy"));
-        };
-        opts.progress = [&](const std::string &l) {
-            if (l.find("disconnected") != std::string::npos)
-                sawDeath = true;
-        };
-        expectSameDigests(DistRunner(std::move(opts)).run(specs),
-                          serial);
-        reapAll(pids);
-        EXPECT_TRUE(sawDeath);
-    }
-}
-
-TEST(DistTcpFault, HungAndPartialFrameSocketsAreReapedByDeadline)
-{
-    // Alive-but-silent over TCP: a half-open peer the kernel will
-    // never report closed. Only the per-shard deadline can unstick
-    // the sweep — it closes the socket, which reads as the death.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    for (const bool partial : {false, true}) {
-        SCOPED_TRACE(partial ? "partial-frame" : "hang");
-        DistWorkerFault fault;
-        if (partial)
-            fault.partialFrameAfterShards = 0;
-        else
-            fault.hangAfterShards = 1;
-        std::vector<pid_t> pids;
-        bool sawHangKill = false;
-        DistRunnerOptions opts;
-        opts.listen = "127.0.0.1:0";
-        opts.shardTimeoutMs = 1500;
-        opts.onListen = [&](int port) {
-            pids.push_back(spawnTcpWorker(port, fault, 0, "wedged"));
-            pids.push_back(spawnTcpWorker(port, {}, 0, "healthy"));
-        };
-        opts.progress = [&](const std::string &l) {
-            if (l.find("hung") != std::string::npos)
-                sawHangKill = true;
-        };
-        expectSameDigests(DistRunner(std::move(opts)).run(specs),
-                          serial);
-        // The wedged child blocks in pause()/a dead write forever;
-        // its socket is closed but it never exits on its own.
-        for (const pid_t pid : pids)
-            ::kill(pid, SIGKILL);
-        reapAll(pids);
-        EXPECT_TRUE(sawHangKill);
-    }
-}
-
-TEST(DistTcpFault, SilentStrangerBeforeHelloIsDroppedNotFatal)
-{
-    // Connect-then-silence: a peer that never speaks must be dropped
-    // at the hello deadline without touching the sweep. The healthy
-    // worker joins late (after the drop window) so the sweep provably
-    // outlives the stranger's occupation of the pool.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    std::vector<pid_t> pids;
-    int strangerFd = -1;
-    bool sawDrop = false;
-    DistRunnerOptions opts;
-    opts.listen = "127.0.0.1:0";
-    opts.helloTimeoutMs = 500;
-    opts.onListen = [&](int port) {
-        strangerFd = tcpConnect(
-            "127.0.0.1:" + std::to_string(port));   // never speaks
-        pids.push_back(spawnTcpWorker(port, {}, 900, "late-honest"));
-    };
-    opts.progress = [&](const std::string &l) {
-        if (l.rfind("tcp peer", 0) == 0 &&
-            l.find("dropping") != std::string::npos)
-            sawDrop = true;
-    };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
-    if (strangerFd >= 0)
-        ::close(strangerFd);
-    reapAll(pids);
-    EXPECT_TRUE(sawDrop);
-}
-
-TEST(DistTcpFault, GarbageBeforeHelloIsRejectedNotFatal)
-{
-    // A stranger speaking a different protocol entirely: 64 bytes of
-    // 0xee land before any hello. On a pipe that is a fatal handshake
-    // error (our own spawn is broken); on a listener it is just noise
-    // — reject the connection, run the sweep on the honest worker.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    std::vector<pid_t> pids;
-    int strangerFd = -1;
-    bool sawReject = false;
-    DistRunnerOptions opts;
-    opts.listen = "127.0.0.1:0";
-    opts.onListen = [&](int port) {
-        strangerFd = tcpConnect("127.0.0.1:" + std::to_string(port));
-        const std::string garbage(64, '\xee');
-        (void)!::write(strangerFd, garbage.data(), garbage.size());
-        pids.push_back(spawnTcpWorker(port, {}, 0, "honest"));
-    };
-    opts.progress = [&](const std::string &l) {
-        if (l.find("rejected before hello") != std::string::npos)
-            sawReject = true;
-    };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
-    if (strangerFd >= 0)
-        ::close(strangerFd);
-    reapAll(pids);
-    EXPECT_TRUE(sawReject);
-}
-
-TEST(DistTcpFault, WrongVersionHelloIsRejectedWithTypedMessage)
-{
-    // A version-skewed worker: its hello is well-formed for wire
-    // version 2, which this parent does not speak. The typed
-    // version-mismatch WireError must surface in the rejection line
-    // (so the operator knows to upgrade the fleet), and the sweep
-    // must finish on the honest worker regardless.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    std::vector<pid_t> pids;
-    int skewedFd = -1;
-    std::string rejectLine;
-    DistRunnerOptions opts;
-    opts.listen = "127.0.0.1:0";
-    opts.onListen = [&](int port) {
-        skewedFd = tcpConnect("127.0.0.1:" + std::to_string(port));
-        WireWriter w;
-        w.raw(wireMagic, sizeof(wireMagic));
-        w.varint(wireVersion - 1);
-        w.str("old-fleet:1");
-        std::string frame;
-        appendFrame(frame, FrameType::hello, w.take());
-        (void)!::write(skewedFd, frame.data(), frame.size());
-        pids.push_back(spawnTcpWorker(port, {}, 0, "honest"));
-    };
-    opts.progress = [&](const std::string &l) {
-        if (l.find("rejected before hello") != std::string::npos)
-            rejectLine = l;
-    };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
-    if (skewedFd >= 0)
-        ::close(skewedFd);
-    reapAll(pids);
-    EXPECT_NE(rejectLine.find("version mismatch"), std::string::npos)
-        << rejectLine;
-}
-
-TEST(DistTcpCheckpoint, MixedFleetSigkillResumesWithDifferentFleet)
-{
-    // The cluster-scale crash gate: a checkpointed sweep over a MIXED
-    // fleet (one local pipe worker + two TCP workers) is SIGKILLed —
-    // parent and all — mid-sweep. The rerun resumes against the
-    // surviving checkpoint with a DIFFERENT fleet (two pipe workers +
-    // one TCP worker) and must still match the serial oracle bit for
-    // bit: the checkpoint is transport-agnostic.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-    const std::string path = ckptPath("tcp_mixed_sigkill");
-
-    int progress_pipe[2];
-    ASSERT_EQ(::pipe(progress_pipe), 0);
-    const pid_t child = ::fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        // Victim: mixed-fleet checkpointed sweep, ticking a byte per
-        // completed shard. Its TCP workers are grandchildren; when we
-        // are SIGKILLed their sockets die and they exit on their own.
-        ::close(progress_pipe[0]);
-        DistRunnerOptions opts = ckptOpts(path, 1);
-        opts.listen = "127.0.0.1:0";
-        opts.onListen = [](int port) {
-            spawnTcpWorker(port, {}, 0, "victim-a");
-            spawnTcpWorker(port, {}, 0, "victim-b");
-        };
-        const int wfd = progress_pipe[1];
-        opts.progress = [wfd](const std::string &l) {
-            if (l.rfind("shard ", 0) == 0)
-                (void)!::write(wfd, "x", 1);
-        };
-        try {
-            DistRunner(std::move(opts)).run(specs);
-        } catch (...) {
-            _exit(1);
-        }
-        _exit(0);
-    }
-    ::close(progress_pipe[1]);
-
-    std::size_t ticks = 0;
-    char c;
-    while (ticks < 3 && ::read(progress_pipe[0], &c, 1) == 1)
-        ++ticks;
-    ::kill(child, SIGKILL);
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    ::close(progress_pipe[0]);
-
-    ASSERT_TRUE(std::filesystem::exists(path))
-        << "checkpoint never materialized";
-    std::vector<pid_t> pids;
-    DistRunnerOptions opts = ckptOpts(path, 2);
-    opts.listen = "127.0.0.1:0";
-    opts.onListen = [&](int port) {
-        pids.push_back(spawnTcpWorker(port, {}, 0, "resume-worker"));
-    };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
-    reapAll(pids);
 }
 
 } // namespace

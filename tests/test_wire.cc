@@ -652,43 +652,12 @@ TEST(WireFrames, HelloRoundTripsAndRejectsBadMagicAndVersion)
     EXPECT_THROW(checkHelloPayload("TOK"), WireError);
 }
 
-TEST(WireFrames, HelloIdentityRoundTrips)
-{
-    // The v3 hello carries the worker's identity ("host:pid"); it
-    // must survive the codec byte for byte, including empty and
-    // awkward (spaces, colons, UTF-8-ish bytes) values.
-    for (const std::string id :
-         {std::string(), std::string("host:12345"),
-          std::string("a b\tc:99"), std::string("\xc3\xa9:1"),
-          std::string(maxHelloIdentity, 'x')}) {
-        const HelloFrame hf =
-            decodeHelloPayload(encodeHelloPayload(id));
-        EXPECT_EQ(hf.version, wireVersion);
-        EXPECT_EQ(hf.identity, id);
-    }
-}
-
-TEST(WireFrames, HelloIdentityOverCapIsRejectedBothWays)
-{
-    // Encoding refuses an oversized identity; a hand-crafted payload
-    // claiming one decodes to a typed WireError, not an allocation.
-    EXPECT_THROW(
-        encodeHelloPayload(std::string(maxHelloIdentity + 1, 'x')),
-        WireError);
-
-    WireWriter w;
-    w.raw(wireMagic, sizeof(wireMagic));
-    w.varint(wireVersion);
-    w.str(std::string(maxHelloIdentity + 1, 'x'));
-    EXPECT_THROW(checkHelloPayload(w.buffer()), WireError);
-}
-
 TEST(WireFrames, HelloTruncatedAtEveryByteOffsetIsATypedError)
 {
     // The checkpoint-codec fuzz discipline applied to the hello:
     // every proper prefix must throw WireError — never succeed,
     // never crash, never throw anything untyped.
-    const std::string full = encodeHelloPayload("host:4242");
+    const std::string full = encodeHelloPayload();
     for (std::size_t cut = 0; cut < full.size(); ++cut) {
         SCOPED_TRACE("cut=" + std::to_string(cut));
         EXPECT_THROW(checkHelloPayload(full.substr(0, cut)),
@@ -699,25 +668,25 @@ TEST(WireFrames, HelloTruncatedAtEveryByteOffsetIsATypedError)
 
 TEST(WireFrames, HelloTrailingBytesAreATypedError)
 {
-    // expectEnd discipline: a hello with bytes after the identity is
-    // a different (future?) layout, not something to half-accept.
-    std::string extra = encodeHelloPayload("h:1");
+    // expectEnd discipline: a hello with bytes after the version is
+    // a different layout, not something to half-accept.
+    std::string extra = encodeHelloPayload();
     extra.push_back('\x00');
     EXPECT_THROW(checkHelloPayload(extra), WireError);
 }
 
-TEST(WireFrames, HelloVersionIsCheckedBeforeIdentity)
+TEST(WireFrames, HelloVersionIsCheckedBeforeTrailingBytes)
 {
-    // A version-skewed peer's identity encoding may itself be
-    // unparseable under our layout; the error the operator can act
-    // on is "version mismatch", so it must win.
+    // A v5 worker's hello carries a name string after the version,
+    // which this layout reads as trailing bytes. The error the
+    // operator can act on is "version mismatch", so it must win.
     WireWriter w;
     w.raw(wireMagic, sizeof(wireMagic));
-    w.varint(wireVersion + 7);
-    // No identity field at all — a v(N+7) hello need not have one.
+    w.varint(5);
+    w.str("host:4242");
     try {
         checkHelloPayload(w.buffer());
-        FAIL() << "skewed hello decoded successfully";
+        FAIL() << "v5 hello decoded successfully";
     } catch (const WireError &e) {
         EXPECT_NE(std::string(e.what()).find("version mismatch"),
                   std::string::npos)
