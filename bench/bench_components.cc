@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the simulator substrate: event
  * queue throughput, cache array operations, topology routing and
- * multicast-tree construction, network message delivery, Zipf
+ * construction, network message delivery, Zipf
  * sampling, and an end-to-end simulated-ops-per-second figure for the
  * whole stack. These guard the simulator's own performance (the
  * paper-scale benches simulate hundreds of thousands of misses).
@@ -76,7 +76,8 @@ BM_TorusRouteLookup(benchmark::State &state)
     std::unique_ptr<Topology> topo(makeTopology("torus", 64));
     NodeId s = 0, d = 1;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(&topo->route(s, d));
+        const Span<LinkId> r = topo->route(s, d);
+        benchmark::DoNotOptimize(r);
         s = (s + 7) % 64;
         d = (d + 13) % 64;
         if (s == d)
@@ -87,22 +88,55 @@ BM_TorusRouteLookup(benchmark::State &state)
 BENCHMARK(BM_TorusRouteLookup);
 
 void
-BM_MulticastTreeConstruction(benchmark::State &state)
+BM_TorusBuild(benchmark::State &state)
 {
-    std::unique_ptr<Topology> topo(makeTopology("torus", 64));
-    std::vector<NodeId> dests{3, 17, 30, 44, 58};
+    // Routes plus every source's broadcast tree: the per-System
+    // topology cost of a wide (TokenB/TokenM) configuration.
+    const int n = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(topo->multicastTree(0, dests));
+        std::unique_ptr<Topology> topo(makeTopology("torus", n));
+        benchmark::DoNotOptimize(topo.get());
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MulticastTreeConstruction);
+BENCHMARK(BM_TorusBuild)->Arg(256)->Arg(1024)->Unit(
+    benchmark::kMillisecond);
 
 class NullSink : public NetworkEndpoint
 {
   public:
     void deliver(const Message &) override {}
 };
+
+void
+BM_NetworkMulticastSteadyState(benchmark::State &state)
+{
+    // TokenM-style destination-set multicast on a 64-node torus:
+    // pruned walk of the source's cached tree out of recycled slots.
+    EventQueue eq;
+    Network net(eq,
+                std::unique_ptr<Topology>(makeTopology("torus", 64)),
+                NetworkParams{});
+    std::vector<std::unique_ptr<NullSink>> sinks;
+    for (int i = 0; i < 64; ++i) {
+        sinks.push_back(std::make_unique<NullSink>());
+        net.attach(static_cast<NodeId>(i), sinks.back().get());
+    }
+    const std::vector<NodeId> dests{3, 17, 30, 44, 58};
+    NodeId src = 0;
+    for (auto _ : state) {
+        Message m;
+        m.type = MsgType::getS;
+        m.cls = MsgClass::request;
+        m.src = src;
+        m.addr = 0x40;
+        net.multicast(m, dests);
+        eq.run();
+        src = (src + 1) % 64;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NetworkMulticastSteadyState);
 
 void
 BM_NetworkBroadcast(benchmark::State &state)
@@ -289,6 +323,27 @@ BM_SystemFreshConstruct(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SystemFreshConstruct);
+
+void
+BM_SystemFreshConstruct256(benchmark::State &state)
+{
+    // Building one 256-node TokenB System as the sweep-tenants-256
+    // end-to-end workload configures it (two tenants, 1 MB L2): the
+    // set-up every runner worker pays per protocol.
+    SystemConfig cfg;
+    cfg.numNodes = 256;
+    cfg.topology = "torus";
+    cfg.protocol = ProtocolKind::tokenB;
+    cfg.tenants = {TenantSpec{WorkloadSpec("ycsb"), 128},
+                   TenantSpec{WorkloadSpec("tpcc"), 128}};
+    cfg.l2.sizeBytes = 1 << 20;
+    for (auto _ : state) {
+        System sys(cfg);
+        benchmark::DoNotOptimize(&sys);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SystemFreshConstruct256)->Unit(benchmark::kMillisecond);
 
 void
 BM_SystemResetReuse(benchmark::State &state)

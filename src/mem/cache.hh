@@ -14,6 +14,13 @@
  * tag words (one cache line for a 4-way set) without dragging the full
  * protocol Line payloads through the data cache. touch() — the hottest
  * call in the whole simulator — only dereferences a payload on a hit.
+ *
+ * Only the tag array is initialised, at construction and in clear():
+ * the LRU stamp and payload of a way are never read until allocate()
+ * or restoreWay() writes them, so wide systems pay neither the time
+ * nor the resident memory of zero-filling them. Debug builds fill that
+ * never-written storage with a poison pattern, so a read of an
+ * unwritten way shows up as a wrong result (or a UBSan bool report).
  */
 
 #ifndef TOKENSIM_MEM_CACHE_HH
@@ -22,6 +29,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hh"
@@ -57,6 +67,46 @@ struct CacheLineBase
 };
 
 /**
+ * Heap storage for @p n objects of a trivially destructible @p T that
+ * is allocated but not initialised: objects are created by placement
+ * new (or plain stores, for scalars) when first written.
+ */
+template <typename T>
+class UninitArray
+{
+    static_assert(std::is_trivially_destructible<T>::value,
+                  "stale objects are overwritten without destruction");
+
+  public:
+    explicit UninitArray(std::size_t n)
+        : data_(std::allocator<T>().allocate(n)), size_(n)
+    {
+        poison();
+    }
+
+    ~UninitArray() { std::allocator<T>().deallocate(data_, size_); }
+
+    UninitArray(const UninitArray &) = delete;
+    UninitArray &operator=(const UninitArray &) = delete;
+
+    T &operator[](std::size_t i) { return data_[i]; }
+    const T &operator[](std::size_t i) const { return data_[i]; }
+
+    /** Debug builds: overwrite everything with a poison pattern. */
+    void
+    poison()
+    {
+#ifndef NDEBUG
+        std::memset(static_cast<void *>(data_), 0xa5, size_ * sizeof(T));
+#endif
+    }
+
+  private:
+    T *data_;
+    std::size_t size_;
+};
+
+/**
  * A set-associative array of @p Line (derived from CacheLineBase),
  * with true-LRU replacement inside each set.
  */
@@ -70,8 +120,8 @@ class CacheArray
           blockShift_(floorLog2(params.blockBytes)),
           setMask_(numSets_ - 1),
           tags_(numSets_ * params.assoc, invalidTag),
-          lruStamp_(numSets_ * params.assoc, 0),
-          lines_(numSets_ * params.assoc)
+          lruStamp_(tags_.size()),
+          lines_(tags_.size())
     {
         assert(isPowerOf2(params.blockBytes));
         assert(numSets_ > 0 && isPowerOf2(numSets_));
@@ -165,11 +215,7 @@ class CacheArray
         }
         tags_[way] = ba;
         lruStamp_[way] = ++useCounter_;
-        Line &l = lines_[way];
-        l = Line{};
-        l.addr = ba;
-        l.valid = true;
-        return &l;
+        return emplace(way, ba);
     }
 
     /** Remove a block (it must be present). */
@@ -216,17 +262,14 @@ class CacheArray
      * Invalidate every line and rewind the LRU clock — equivalent to
      * a freshly constructed array but reusing the (large) tag/stamp/
      * payload storage. The reusable-System path calls this between
-     * runs.
+     * runs. Stamps and payloads are left stale, as on construction.
      */
     void
     clear()
     {
         std::fill(tags_.begin(), tags_.end(), invalidTag);
-        std::fill(lruStamp_.begin(), lruStamp_.end(), 0);
-        // lines_ is deliberately left stale: a payload is never read
-        // until allocate() has rewritten it (tag-miss lines are
-        // unreachable), so wiping tens of megabytes per reset would
-        // buy nothing.
+        lruStamp_.poison();
+        lines_.poison();
         useCounter_ = 0;
     }
 
@@ -280,11 +323,7 @@ class CacheArray
         assert(!contains(ba) && "restore of a block already present");
         tags_[i] = ba;
         lruStamp_[i] = stamp;
-        Line &l = lines_[i];
-        l = Line{};
-        l.addr = ba;
-        l.valid = true;
-        return &l;
+        return emplace(i, ba);
     }
 
   private:
@@ -292,6 +331,16 @@ class CacheArray
      *  addresses are block-aligned, all-ones is not). */
     static constexpr Addr invalidTag = ~Addr{0};
     static constexpr std::size_t notFound = ~std::size_t{0};
+
+    /** Create a fresh line for block @p ba in flat way @p i. */
+    Line *
+    emplace(std::size_t i, Addr ba)
+    {
+        Line *l = ::new (static_cast<void *>(&lines_[i])) Line{};
+        l->addr = ba;
+        l->valid = true;
+        return l;
+    }
 
     std::size_t
     setBase(Addr block_addr) const
@@ -333,11 +382,13 @@ class CacheArray
      *  shift/mask, never a runtime division. */
     unsigned blockShift_;
     std::uint64_t setMask_;
-    /** SoA metadata: tags and LRU stamps, contiguous per set. */
+    /** SoA metadata: tags and LRU stamps, contiguous per set. A
+     *  stamp is meaningful only while its way's tag is valid. */
     std::vector<Addr> tags_;
-    std::vector<std::uint64_t> lruStamp_;
-    /** Protocol payloads, touched only on hit/allocate/evict. */
-    std::vector<Line> lines_;
+    UninitArray<std::uint64_t> lruStamp_;
+    /** Protocol payloads, touched only on hit/allocate/evict; a
+     *  payload exists only once its way has been allocated. */
+    UninitArray<Line> lines_;
     std::uint64_t useCounter_ = 0;
 };
 

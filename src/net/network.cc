@@ -1,9 +1,9 @@
 #include "net/network.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "sim/log.hh"
 
@@ -11,13 +11,14 @@ namespace tokensim {
 
 Network::Network(EventQueue &eq, std::unique_ptr<Topology> topo,
                  NetworkParams params)
-    : eq_(eq), topo_(std::move(topo)), params_(params)
+    : eq_(eq), topo_(std::move(topo))
 {
+    setParams(params);
     endpoints_.assign(static_cast<std::size_t>(topo_->numNodes()),
                       nullptr);
     linkFree_.assign(topo_->links().size(), 0);
     deliveryRing_.resize(deliveryRingSize);
-    bcastIndex_.resize(static_cast<std::size_t>(topo_->numNodes()));
+    wanted_.assign(static_cast<std::size_t>(topo_->numNodes()), 0);
 }
 
 void
@@ -30,13 +31,12 @@ Network::attach(NodeId id, NetworkEndpoint *ep)
 void
 Network::reset(const NetworkParams &params)
 {
-    params_ = params;
+    setParams(params);
     std::fill(linkFree_.begin(), linkFree_.end(), 0);
     stats_.clear();
     orderSeq_ = 0;
     // A drained system has no pending deliveries or live slots; clear
-    // defensively (capacity is retained either way). Tree caches stay:
-    // they depend only on the topology.
+    // defensively (capacity is retained either way).
     for (auto &b : deliveryRing_)
         b.clear();
     farDeliveries_.clear();
@@ -44,6 +44,28 @@ Network::reset(const NetworkParams &params)
     // system, so simply rewind the allocation cursor.
     slotCount_ = 0;
     freeHead_ = noSlot;
+}
+
+void
+Network::setParams(const NetworkParams &params)
+{
+    if (!params.unlimitedBandwidth) {
+        // A rate that is zero, negative, NaN or so small that a delay
+        // overflows a Tick would make serializationTicks' cast UB.
+        const double worst =
+            static_cast<double>(std::max(params.ctrlBytes,
+                                         params.dataBytes)) *
+            static_cast<double>(ticksPerNs) / params.bytesPerNs;
+        if (!(params.bytesPerNs > 0) || !(worst < 0x1p62)) {
+            throw std::invalid_argument(strformat(
+                "network bytesPerNs must be a positive link bandwidth "
+                "(bytes per ns) when bandwidth is limited; got %g",
+                params.bytesPerNs));
+        }
+    }
+    params_ = params;
+    ctrlSer_ = serializationTicks(params_.ctrlBytes);
+    dataSer_ = serializationTicks(params_.dataBytes);
 }
 
 Tick
@@ -158,9 +180,9 @@ Network::flushDeliveries(Tick when)
 }
 
 Tick
-Network::crossLink(LinkId link, Tick ser)
+Network::reserve(LinkId link, Tick at, Tick ser)
 {
-    const Tick start = std::max(eq_.curTick(), linkFree_[link]);
+    const Tick start = std::max(at, linkFree_[link]);
     if (!params_.unlimitedBandwidth)
         linkFree_[link] = start + ser;
     return start + params_.linkLatency;
@@ -171,15 +193,11 @@ Network::crossLink(LinkId link, Tick ser)
 // ---------------------------------------------------------------------
 
 Tick
-Network::reservePath(const std::vector<LinkId> &path, Tick ser)
+Network::reservePath(Span<LinkId> path, Tick ser)
 {
     Tick t = eq_.curTick();
-    for (LinkId link : path) {
-        const Tick start = std::max(t, linkFree_[link]);
-        if (!params_.unlimitedBandwidth)
-            linkFree_[link] = start + ser;
-        t = start + params_.linkLatency;
-    }
+    for (LinkId link : path)
+        t = reserve(link, t, ser);
     return t;
 }
 
@@ -196,11 +214,11 @@ Network::unicast(Message msg)
         slotRelease(slot);
         return;
     }
-    const auto &path = topo_->route(msg.src, msg.dest);
+    const Span<LinkId> path = topo_->route(msg.src, msg.dest);
     account(msg, path.size());
     // One path walk, one delivery event: the tail arrives one
     // serialization delay after the head clears the last link.
-    const Tick ser = serializationTicks(msg.size);
+    const Tick ser = serialization(msg);
     const Tick head = reservePath(path, ser);
     const std::uint32_t slot = acquireSlot(msg);
     scheduleDelivery(msg.dest, slot, head + ser);
@@ -211,74 +229,20 @@ Network::unicast(Message msg)
 // Tree forwarding (broadcast / multicast)
 // ---------------------------------------------------------------------
 
-Network::TreeIndex
-Network::buildTreeIndex(std::vector<TreeEdge> edges, int src_vertex)
-{
-    TreeIndex idx;
-    idx.edges = std::move(edges);
-    idx.children.resize(idx.edges.size());
-    std::unordered_map<int, int> edge_to;   // vertex -> edge reaching it
-    for (std::size_t i = 0; i < idx.edges.size(); ++i)
-        edge_to[idx.edges[i].to] = static_cast<int>(i);
-    for (std::size_t i = 0; i < idx.edges.size(); ++i) {
-        const TreeEdge &e = idx.edges[i];
-        if (e.from == src_vertex) {
-            idx.rootEdges.push_back(static_cast<int>(i));
-        } else {
-            auto it = edge_to.find(e.from);
-            assert(it != edge_to.end() &&
-                   "tree edge with unreachable parent");
-            idx.children[static_cast<std::size_t>(it->second)]
-                .push_back(static_cast<int>(i));
-        }
-    }
-    return idx;
-}
-
-const Network::TreeIndex &
-Network::broadcastIndex(NodeId src)
-{
-    auto &slot = bcastIndex_[src];
-    if (!slot) {
-        slot = std::make_unique<const TreeIndex>(buildTreeIndex(
-            topo_->broadcastTree(src), static_cast<int>(src)));
-    }
-    return *slot;
-}
-
-const Network::TreeIndex &
-Network::downIndex()
-{
-    if (!downIndex_) {
-        downIndex_ = std::make_unique<const TreeIndex>(
-            buildTreeIndex(topo_->downTree(), topo_->rootVertex()));
-    }
-    return *downIndex_;
-}
-
 void
-Network::transmitEdge(const TreeIndex *idx, int ei, std::uint32_t slot,
-                      const std::shared_ptr<const MulticastState> &mc)
+Network::transmitEdge(std::uint32_t slot, std::uint32_t ei)
 {
-    const TreeEdge &e = idx->edges[static_cast<std::size_t>(ei)];
-    const Tick ser = serializationTicks(slotRef(slot).msg.size);
-    const Tick head = crossLink(e.link, ser);
-
-    const int num_nodes = topo_->numNodes();
-    if (e.to < num_nodes &&
-        (!mc || mc->want[static_cast<std::size_t>(e.to)])) {
+    const TransitSlot &s = slotRef(slot);
+    const TreeEdge &e = topo_->broadcastTree(s.msg.src)[ei];
+    const Tick ser = serialization(s.msg);
+    const Tick head = reserve(e.link, eq_.curTick(), ser);
+    if (s.marks[ei] & edgeDelivers)
         scheduleDelivery(static_cast<NodeId>(e.to), slot, head + ser);
-    }
-    if (!idx->children[static_cast<std::size_t>(ei)].empty()) {
+    if (s.marks[ei] & edgeForks) {
         // The fan-out event inherits this call's slot reference.
-        eq_.schedule(head, [this, idx, ei, slot, mc]() {
-            const auto &kids =
-                idx->children[static_cast<std::size_t>(ei)];
-            for (int ci : kids) {
-                slotAddRef(slot);
-                transmitEdge(idx, ci, slot, mc);
-            }
-            slotRelease(slot);
+        eq_.schedule(head, [this, slot, ei]() {
+            forward(slot, topo_->broadcastTree(slotRef(slot).msg.src)
+                              .children(ei));
         });
     } else {
         slotRelease(slot);
@@ -286,12 +250,13 @@ Network::transmitEdge(const TreeIndex *idx, int ei, std::uint32_t slot,
 }
 
 void
-Network::launchTree(const TreeIndex *idx, std::uint32_t slot,
-                    const std::shared_ptr<const MulticastState> &mc)
+Network::forward(std::uint32_t slot, Span<std::uint32_t> edges)
 {
-    for (int ei : idx->rootEdges) {
-        slotAddRef(slot);
-        transmitEdge(idx, ei, slot, mc);
+    for (std::uint32_t ei : edges) {
+        if (slotRef(slot).marks[ei] & edgeNeeded) {
+            slotAddRef(slot);
+            transmitEdge(slot, ei);
+        }
     }
     slotRelease(slot);
 }
@@ -301,29 +266,31 @@ Network::multicast(Message msg, const std::vector<NodeId> &dests)
 {
     finalize(msg);
     msg.isBroadcast = true;
-    auto state = std::make_shared<MulticastState>();
-    state->want.assign(static_cast<std::size_t>(topo_->numNodes()),
-                       false);
     bool self = false;
-    std::vector<NodeId> remote;
-    remote.reserve(dests.size());
+    bool remote = false;
     for (NodeId d : dests) {
         if (d == msg.src) {
             self = true;
-        } else if (!state->want[d]) {
-            state->want[d] = true;
-            remote.push_back(d);
+        } else {
+            wanted_[d] = 1;
+            remote = true;
         }
     }
     const std::uint32_t slot = acquireSlot(msg);
-    if (!remote.empty()) {
-        state->idx = buildTreeIndex(
-            topo_->multicastTree(msg.src, remote),
-            static_cast<int>(msg.src));
-        account(msg, state->idx.edges.size());
+    if (remote) {
+        // Prune the source's broadcast tree to the routes reaching
+        // the wanted nodes; the marks ride in the slot until its last
+        // fan-out event.
+        TransitSlot &s = slotRef(slot);
+        const Tree &tree = topo_->broadcastTree(msg.src);
+        s.ownMarks.resize(tree.size());
+        s.marks = s.ownMarks.data();
+        account(msg, topo_->markMulticast(msg.src, wanted_.data(),
+                                          s.ownMarks.data()));
+        for (NodeId d : dests)
+            wanted_[d] = 0;
         slotAddRef(slot);
-        const TreeIndex *idx = &state->idx;
-        launchTree(idx, slot, std::move(state));
+        forward(slot, tree.rootEdges());
     } else {
         account(msg, 0);
     }
@@ -339,11 +306,12 @@ Network::broadcast(Message msg)
 {
     finalize(msg);
     msg.isBroadcast = true;
-    const TreeIndex &idx = broadcastIndex(msg.src);
-    account(msg, idx.edges.size());
+    const Tree &tree = topo_->broadcastTree(msg.src);
+    account(msg, tree.size());
     const std::uint32_t slot = acquireSlot(msg);
+    slotRef(slot).marks = tree.marks.data();
     slotAddRef(slot);
-    launchTree(&idx, slot, nullptr);
+    forward(slot, tree.rootEdges());
     // The sender's own node (cache controller and, if it is the home,
     // memory controller) observes the broadcast locally.
     scheduleDelivery(msg.src, slot, eq_.curTick() + params_.localDelay);
@@ -365,7 +333,7 @@ Network::broadcastOrdered(Message msg)
     finalize(msg);
     msg.isBroadcast = true;
 
-    const auto &up = topo_->routeToRoot(msg.src);
+    const Span<LinkId> up = topo_->routeToRoot(msg.src);
     account(msg, up.size());
 
     // Phase 1: reserve the climb to the root in one cut-through walk.
@@ -377,7 +345,7 @@ Network::broadcastOrdered(Message msg)
         sequenceAndFanOut(slot);
         return;
     }
-    const Tick ser = serializationTicks(msg.size);
+    const Tick ser = serialization(msg);
     const Tick at_root = reservePath(up, ser) + ser;
     eq_.schedule(at_root, [this, slot]() { sequenceAndFanOut(slot); });
 }
@@ -392,10 +360,10 @@ Network::sequenceAndFanOut(std::uint32_t slot)
     // exclusively, so the sequence number is stamped in place.
     Message &ordered = slotRef(slot).msg;
     ordered.seq = orderSeq_++;
-    const TreeIndex &idx = downIndex();
+    const Tree &down = topo_->downTree();
     auto &cls = stats_.byClass[static_cast<std::size_t>(ordered.cls)];
     cls.byteLinks +=
-        static_cast<std::uint64_t>(ordered.size) * idx.edges.size();
+        static_cast<std::uint64_t>(ordered.size) * down.size();
 
     // Cut-through walk of the whole down tree: reserve every edge
     // (the recurrence is identical to forwarding it edge by edge —
@@ -415,24 +383,21 @@ Network::sequenceAndFanOut(std::uint32_t slot)
     // (tests/test_random_coherence.cc soaks catch it immediately).
     // Per-link serialization and occupancy are still charged exactly
     // as before — only the visibility instant is aligned.
-    const Tick ser = serializationTicks(ordered.size);
+    const Tick ser = serialization(ordered);
     const int num_nodes = topo_->numNodes();
     headScratch_.resize(
         static_cast<std::size_t>(topo_->numVertices()));
     headScratch_[static_cast<std::size_t>(topo_->rootVertex())] =
         eq_.curTick();
     Tick latest = 0;
-    for (const TreeEdge &e : idx.edges) {
-        const Tick at = headScratch_[static_cast<std::size_t>(e.from)];
-        const Tick start = std::max(at, linkFree_[e.link]);
-        if (!params_.unlimitedBandwidth)
-            linkFree_[e.link] = start + ser;
-        const Tick head = start + params_.linkLatency;
+    for (const TreeEdge &e : down) {
+        const Tick head = reserve(
+            e.link, headScratch_[static_cast<std::size_t>(e.from)], ser);
         headScratch_[static_cast<std::size_t>(e.to)] = head;
         if (e.to < num_nodes)
             latest = std::max(latest, head + ser);
     }
-    for (const TreeEdge &e : idx.edges) {
+    for (const TreeEdge &e : down) {
         if (e.to < num_nodes)
             scheduleDelivery(static_cast<NodeId>(e.to), slot, latest);
     }

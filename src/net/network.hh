@@ -23,7 +23,13 @@
  * reserves its downstream links when it enters the network, so a
  * later-sent message that would have reached a shared link first now
  * queues behind the earlier sender's reservation. (Tree-forwarded
- * broadcasts still arbitrate edge by edge at head-arrival time.)
+ * broadcasts and multicasts still arbitrate edge by edge at
+ * head-arrival time.)
+ *
+ * Broadcasts and multicasts share one path: a walk of the source's
+ * cached broadcast tree steered by per-edge marks — the tree's own for
+ * a broadcast; for a multicast, marks of the union of the routes to
+ * its destinations, computed at send time into its transit slot.
  *
  * The "unlimited bandwidth" configuration used for the dark-grey bars of
  * Figure 4a/5a zeroes serialization and occupancy, leaving pure latency.
@@ -31,8 +37,9 @@
  * In-flight messages are pooled: a send copies the Message once into a
  * refcounted transit slot, and every forwarding event / batched
  * delivery carries only the 4-byte slot index. Slots recycle through a
- * free list, so the steady-state network neither allocates nor copies
- * Messages hop by hop.
+ * free list (keeping their multicast-mark storage), so the
+ * steady-state network neither allocates nor copies Messages hop by
+ * hop.
  */
 
 #ifndef TOKENSIM_NET_NETWORK_HH
@@ -129,6 +136,9 @@ class Network
      * @param eq the system event queue.
      * @param topo the topology (ownership transferred).
      * @param params link model parameters.
+     * @throws std::invalid_argument if bandwidth is limited and
+     *     params.bytesPerNs is not a positive rate whose serialization
+     *     delays fit in a Tick.
      */
     Network(EventQueue &eq, std::unique_ptr<Topology> topo,
             NetworkParams params = {});
@@ -148,9 +158,10 @@ class Network
     void unicast(Message msg);
 
     /**
-     * Send one logical message to a destination set, forwarded along a
-     * multicast tree so that each crossed link carries a single copy.
-     * A destination equal to the source is delivered locally.
+     * Send one logical message to a destination set, forwarded along
+     * the source's broadcast tree pruned to the routes reaching
+     * @p dests, so that each crossed link carries a single copy. A
+     * destination equal to the source is delivered locally.
      */
     void multicast(Message msg, const std::vector<NodeId> &dests);
 
@@ -191,45 +202,23 @@ class Network
      * Return to the just-constructed state with (possibly different)
      * link parameters @p params — clock-zero link occupancy, zeroed
      * traffic stats and ordering sequence, an empty transit pool —
-     * while keeping the cached topology trees and all grown
-     * pool/batch storage. The reusable-System path calls this
-     * between runs.
+     * while keeping all grown pool/batch storage. The reusable-System
+     * path calls this between runs. Throws like the constructor on
+     * invalid @p params.
      */
     void reset(const NetworkParams &params);
 
   private:
-    /**
-     * A forwarding tree in event-friendly form: edges plus, for each
-     * edge, the indices of its child edges (edges departing from the
-     * vertex it reaches). rootEdges are the edges leaving the source.
-     */
-    struct TreeIndex
+    /** Validate and install @p params, caching both message sizes'
+     *  serialization delays. */
+    void setParams(const NetworkParams &params);
+
+    /** Serialization delay of a finalized message. */
+    Tick
+    serialization(const Message &msg) const
     {
-        std::vector<TreeEdge> edges;
-        std::vector<std::vector<int>> children;
-        std::vector<int> rootEdges;
-    };
-
-    /**
-     * Keep-alive state for one in-flight multicast: the ad-hoc tree
-     * (built per send, unlike the cached broadcast trees) and the
-     * destination filter. Referenced by the forwarding events.
-     */
-    struct MulticastState
-    {
-        TreeIndex idx;
-        std::vector<bool> want;
-    };
-
-    /** Build the child adjacency for a forward-ordered edge list. */
-    static TreeIndex buildTreeIndex(std::vector<TreeEdge> edges,
-                                    int src_vertex);
-
-    /** Cached index of the broadcast tree rooted at each node. */
-    const TreeIndex &broadcastIndex(NodeId src);
-
-    /** Cached index of the ordered tree's root-to-all fan-out. */
-    const TreeIndex &downIndex();
+        return msg.hasData ? dataSer_ : ctrlSer_;
+    }
 
     /** Fill in wire size and entry timestamp. */
     void finalize(Message &msg);
@@ -253,6 +242,10 @@ class Network
         Message msg;
         std::uint32_t refs = 0;
         std::uint32_t nextFree = noSlot;
+        /** Tree fan-out marks, one per edge of the source's broadcast
+         *  tree: the tree's own, or ownMarks for a multicast. */
+        const std::uint8_t *marks = nullptr;
+        std::vector<std::uint8_t> ownMarks;
     };
 
     /** Slots per pool chunk (chunks give stable addresses, so a
@@ -297,40 +290,33 @@ class Network
     void flushDeliveries(Tick when);
 
     /**
-     * Arbitrate for one link *now* and return the head-arrival tick
-     * at the far end. Used by the tree-forwarding (broadcast /
-     * multicast) events, which arbitrate edge by edge at head-arrival
-     * time; unicasts and the ordered climb reserve whole paths up
-     * front via reservePath() instead.
+     * Arbitrate for @p link from tick @p at, occupying it for @p ser,
+     * and return the head-arrival tick at its far end. Tree forwarding
+     * arbitrates edge by edge at head-arrival time; unicasts and the
+     * ordered broadcast chain it along a whole path up front.
      */
-    Tick crossLink(LinkId link, Tick ser);
+    Tick reserve(LinkId link, Tick at, Tick ser);
 
     /**
-     * Transmit edge @p ei of @p idx now; on head arrival, deliver to
-     * node vertices (filtered by @p mc->want when @p mc is set) and
-     * recursively transmit child edges. Consumes one reference on
-     * @p slot. @p idx must outlive the whole transmission: it is
-     * either a cached tree or owned by @p mc.
+     * Transmit edge @p ei of the broadcast tree of pooled message
+     * @p slot's source now; on head arrival, deliver to the node it
+     * reaches and fan out to the needed child edges, as the slot's
+     * marks say. Consumes one reference on @p slot.
      */
-    void transmitEdge(const TreeIndex *idx, int ei, std::uint32_t slot,
-                      const std::shared_ptr<const MulticastState> &mc);
+    void transmitEdge(std::uint32_t slot, std::uint32_t ei);
+
+    /** Transmit the needed edges among @p edges of @p slot's tree.
+     *  Consumes one reference on @p slot. */
+    void forward(std::uint32_t slot, Span<std::uint32_t> edges);
 
     /**
-     * Launch all root edges of a tree from the current tick.
-     * Consumes one reference on @p slot.
-     */
-    void launchTree(const TreeIndex *idx, std::uint32_t slot,
-                    const std::shared_ptr<const MulticastState> &mc);
-
-    /**
-     * Cut-through reservation: walk @p path's links in order at the
-     * current tick, reserving each against its busy-until cursor
-     * (occupying it for @p ser), and return the head-arrival tick at
-     * the far end of the last link. The whole route is arbitrated at
+     * Cut-through reservation: reserve() @p path's links in order
+     * from the current tick and return the head-arrival tick at the
+     * far end of the last link. The whole route is arbitrated at
      * send time — see the file comment for the tie-break this implies
      * versus per-hop arbitration.
      */
-    Tick reservePath(const std::vector<LinkId> &path, Tick ser);
+    Tick reservePath(Span<LinkId> path, Tick ser);
 
     /**
      * The ordered-broadcast root phase: assign the next global
@@ -350,6 +336,9 @@ class Network
     EventQueue &eq_;
     std::unique_ptr<Topology> topo_;
     NetworkParams params_;
+    /** Serialization delays of ctrlBytes / dataBytes messages. */
+    Tick ctrlSer_ = 0;
+    Tick dataSer_ = 0;
     std::vector<NetworkEndpoint *> endpoints_;
     std::vector<Tick> linkFree_;
     /** In-flight message pool (see above), in fixed-size chunks. */
@@ -375,8 +364,9 @@ class Network
     std::unordered_map<Tick, std::vector<Delivery>> farDeliveries_;
     /** Retired batch vectors, recycled to keep their capacity. */
     std::vector<std::vector<Delivery>> batchPool_;
-    std::vector<std::unique_ptr<const TreeIndex>> bcastIndex_;
-    std::unique_ptr<const TreeIndex> downIndex_;
+    /** Per-node multicast destination flags (all zero between
+     *  sends). */
+    std::vector<std::uint8_t> wanted_;
     /** Per-vertex head-arrival scratch for the ordered fan-out walk
      *  (sized to the vertex count on first use, then reused). */
     std::vector<Tick> headScratch_;

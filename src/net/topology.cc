@@ -3,19 +3,43 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/stats.hh"
 
 namespace tokensim {
 
-void
-Topology::init(int num_nodes, int num_vertices)
+Tree::Tree(std::vector<TreeEdge> e, int root, int num_nodes,
+           int num_vertices)
+    : edges(std::move(e)), childOff(edges.size() + 1, 0),
+      child(edges.size()), marks(edges.size(), edgeNeeded)
 {
-    numNodes_ = num_nodes;
-    numVertices_ = num_vertices;
-    routes_.assign(static_cast<std::size_t>(num_nodes) * num_nodes, {});
+    // edge_to[v]: the edge reaching vertex v. Forward order puts every
+    // parent before its children, so one pass counts the children.
+    std::vector<std::uint32_t> edge_to(
+        static_cast<std::size_t>(num_vertices));
+    std::uint32_t roots = 0;
+    for (std::uint32_t i = 0; i < edges.size(); ++i) {
+        const TreeEdge &te = edges[i];
+        edge_to[static_cast<std::size_t>(te.to)] = i;
+        if (te.to < num_nodes)
+            marks[i] |= edgeDelivers;
+        if (te.from == root) {
+            assert(roots == i && "root edges come first");
+            child[roots++] = i;
+        } else {
+            const std::uint32_t p = edge_to[static_cast<std::size_t>(te.from)];
+            ++childOff[p + 1];
+            marks[p] |= edgeForks;
+        }
+    }
+    childOff[0] = roots;
+    for (std::size_t i = 0; i < edges.size(); ++i)
+        childOff[i + 1] += childOff[i];
+    std::vector<std::uint32_t> next(childOff.begin(), childOff.end() - 1);
+    for (std::uint32_t i = roots; i < edges.size(); ++i)
+        child[next[edge_to[static_cast<std::size_t>(edges[i].from)]]++] = i;
 }
 
 LinkId
@@ -27,77 +51,83 @@ Topology::addLink(int from, int to)
     return static_cast<LinkId>(links_.size() - 1);
 }
 
-void
-Topology::setRoute(NodeId s, NodeId d, std::vector<LinkId> links)
-{
-    routes_[s * static_cast<NodeId>(numNodes_) + d] = std::move(links);
-}
-
 double
 Topology::averageHops() const
 {
-    std::uint64_t total = 0;
-    std::uint64_t pairs = 0;
-    for (NodeId s = 0; s < static_cast<NodeId>(numNodes_); ++s) {
-        for (NodeId d = 0; d < static_cast<NodeId>(numNodes_); ++d) {
-            if (s == d)
-                continue;
-            total += route(s, d).size();
-            ++pairs;
-        }
-    }
-    return pairs ? static_cast<double>(total) / static_cast<double>(pairs)
-                 : 0.0;
-}
-
-std::vector<TreeEdge>
-Topology::unionOfRoutes(NodeId s, const std::vector<NodeId> &dests) const
-{
-    // Collect each link once at its (prefix-consistent) depth.
-    std::vector<int> depth_of(links_.size(), -1);
-    for (NodeId d : dests) {
-        if (d == s)
-            continue;
-        const auto &r = route(s, d);
-        for (std::size_t i = 0; i < r.size(); ++i) {
-            const LinkId l = r[i];
-            assert(depth_of[l] == -1 ||
-                   depth_of[l] == static_cast<int>(i));
-            depth_of[l] = static_cast<int>(i);
-        }
-    }
-    std::vector<TreeEdge> edges;
-    for (LinkId l = 0; l < links_.size(); ++l) {
-        if (depth_of[l] >= 0) {
-            edges.push_back(TreeEdge{l, links_[l].from, links_[l].to,
-                                     depth_of[l]});
-        }
-    }
-    std::sort(edges.begin(), edges.end(),
-              [](const TreeEdge &a, const TreeEdge &b) {
-                  if (a.depth != b.depth)
-                      return a.depth < b.depth;
-                  return a.link < b.link;
-              });
-    return edges;
+    // Routes from a node to itself are empty.
+    const double pairs = static_cast<double>(numNodes_) * (numNodes_ - 1);
+    return pairs > 0 ? static_cast<double>(routes_.linkCount()) / pairs
+                     : 0.0;
 }
 
 void
 Topology::buildBroadcastTrees()
 {
-    std::vector<NodeId> all(static_cast<std::size_t>(numNodes_));
-    for (NodeId i = 0; i < static_cast<NodeId>(numNodes_); ++i)
-        all[i] = i;
-    bcastTrees_.clear();
+    // depth_of[l]: link l's depth in the current source's tree, or -1.
+    // A route visits each vertex once, so depths stay below the
+    // vertex count.
+    std::vector<int> depth_of(links_.size(), -1);
+    std::vector<std::uint32_t> at_depth(
+        static_cast<std::size_t>(numVertices_));
     bcastTrees_.reserve(static_cast<std::size_t>(numNodes_));
-    for (NodeId s = 0; s < static_cast<NodeId>(numNodes_); ++s)
-        bcastTrees_.push_back(unionOfRoutes(s, all));
+    for (NodeId s = 0; s < static_cast<NodeId>(numNodes_); ++s) {
+        // The tree is the union of s's routes. Routes are prefix-
+        // consistent, so each route is walked back only to its first
+        // link already in the tree: the rest of its prefix is too.
+        std::size_t n = 0;
+        for (NodeId d = 0; d < static_cast<NodeId>(numNodes_); ++d) {
+            const Span<LinkId> r = route(s, d);
+            std::size_t i = r.size();
+            for (; i > 0 && depth_of[r[i - 1]] < 0; --i, ++n) {
+                depth_of[r[i - 1]] = static_cast<int>(i - 1);
+                ++at_depth[i - 1];
+            }
+            assert(i == 0 || depth_of[r[i - 1]] == static_cast<int>(i - 1));
+        }
+        // Counting sort by depth; scanning links in id order keeps
+        // each depth's links in increasing id order.
+        std::uint32_t start = 0;
+        for (std::uint32_t &c : at_depth)
+            start += std::exchange(c, start);
+        std::vector<TreeEdge> edges(n);
+        for (LinkId l = 0; l < links_.size(); ++l) {
+            if (depth_of[l] < 0)
+                continue;
+            const auto depth = static_cast<std::size_t>(depth_of[l]);
+            edges[at_depth[depth]++] =
+                TreeEdge{l, links_[l].from, links_[l].to, depth_of[l]};
+            depth_of[l] = -1;
+        }
+        std::fill(at_depth.begin(), at_depth.end(), 0);
+        bcastTrees_.emplace_back(std::move(edges), static_cast<int>(s),
+                                 numNodes_, numVertices_);
+    }
 }
 
-std::vector<TreeEdge>
-Topology::multicastTree(NodeId s, const std::vector<NodeId> &dests) const
+std::size_t
+Topology::markMulticast(NodeId s, const std::uint8_t *want,
+                        std::uint8_t *bits) const
 {
-    return unionOfRoutes(s, dests);
+    // One reverse pass: children follow their parent in forward
+    // order, so each edge's children are marked before it is.
+    const Tree &tree = broadcastTree(s);
+    std::size_t needed = 0;
+    for (std::size_t i = tree.size(); i-- > 0;) {
+        const int to = tree[i].to;
+        std::uint8_t b = to < numNodes_ && want[to] ? edgeDelivers : 0;
+        for (std::uint32_t c : tree.children(i)) {
+            if (bits[c] & edgeNeeded) {
+                b |= edgeForks;
+                break;
+            }
+        }
+        if (b) {
+            b |= edgeNeeded;
+            ++needed;
+        }
+        bits[i] = b;
+    }
+    return needed;
 }
 
 // ---------------------------------------------------------------------
@@ -117,7 +147,8 @@ TreeTopology::TreeTopology(int num_nodes, int fanout)
     const int in_base = num_nodes;
     root_ = num_nodes + groups;
     const int out_base = root_ + 1;
-    init(num_nodes, num_nodes + 2 * groups + 1);
+    numNodes_ = num_nodes;
+    numVertices_ = num_nodes + 2 * groups + 1;
 
     std::vector<LinkId> up1(num_nodes), up2(groups);
     std::vector<LinkId> down1(groups), down2(num_nodes);
@@ -130,27 +161,28 @@ TreeTopology::TreeTopology(int num_nodes, int fanout)
     for (int p = 0; p < num_nodes; ++p)
         down2[p] = addLink(out_base + p / fanout, p);
 
-    for (NodeId s = 0; s < static_cast<NodeId>(num_nodes); ++s) {
-        for (NodeId d = 0; d < static_cast<NodeId>(num_nodes); ++d) {
-            if (s == d)
-                continue;
-            setRoute(s, d, {up1[s], up2[s / fanout],
-                            down1[d / fanout], down2[d]});
+    const auto n = static_cast<std::size_t>(num_nodes);
+    routes_.reserve(n * n, 4 * n * (n - 1));
+    for (int s = 0; s < num_nodes; ++s) {
+        for (int d = 0; d < num_nodes; ++d) {
+            const LinkId r[] = {up1[s], up2[s / fanout],
+                                down1[d / fanout], down2[d]};
+            routes_.add({r, s != d ? 4u : 0u});
         }
     }
 
-    toRoot_.resize(static_cast<std::size_t>(num_nodes));
-    for (int p = 0; p < num_nodes; ++p)
-        toRoot_[p] = {up1[p], up2[p / fanout]};
-
-    downTree_.clear();
-    for (int g = 0; g < groups; ++g) {
-        downTree_.push_back(TreeEdge{down1[g], root_, out_base + g, 0});
-    }
+    toRoot_.reserve(n, 2 * n);
     for (int p = 0; p < num_nodes; ++p) {
-        downTree_.push_back(
-            TreeEdge{down2[p], out_base + p / fanout, p, 1});
+        const LinkId r[] = {up1[p], up2[p / fanout]};
+        toRoot_.add({r, 2});
     }
+
+    std::vector<TreeEdge> down;
+    for (int g = 0; g < groups; ++g)
+        down.push_back(TreeEdge{down1[g], root_, out_base + g, 0});
+    for (int p = 0; p < num_nodes; ++p)
+        down.push_back(TreeEdge{down2[p], out_base + p / fanout, p, 1});
+    downTree_ = Tree(std::move(down), root_, num_nodes, numVertices_);
 
     buildBroadcastTrees();
 }
@@ -182,60 +214,63 @@ TorusTopology::TorusTopology(int kx, int ky)
         throw std::invalid_argument("torus dimensions must be >= 1");
 
     const int n = kx * ky;
-    init(n, n);
+    numNodes_ = numVertices_ = n;
 
-    // One directed link to each distinct neighbor in each dimension.
-    std::map<std::pair<int, int>, LinkId> link_of;
-    auto connect = [&](int from, int to) {
-        if (from == to)
-            return;
-        auto key = std::make_pair(from, to);
-        if (!link_of.count(key))
-            link_of[key] = addLink(from, to);
-    };
+    // One directed link to each distinct neighbor in each dimension,
+    // created vertex by vertex in +x, -x, +y, -y order. step[v][dir]
+    // is the link leaving v in that direction; in a 2-ring both
+    // directions reach the same neighbor over one shared link.
+    enum { px, mx, py, my };
+    std::vector<LinkId> step(static_cast<std::size_t>(n) * 4);
     for (int y = 0; y < ky; ++y) {
         for (int x = 0; x < kx; ++x) {
             const int v = vertexAt(x, y);
+            LinkId *out = &step[static_cast<std::size_t>(v) * 4];
             if (kx > 1) {
-                connect(v, vertexAt((x + 1) % kx, y));
-                connect(v, vertexAt((x + kx - 1) % kx, y));
+                out[px] = addLink(v, vertexAt((x + 1) % kx, y));
+                out[mx] = kx == 2
+                    ? out[px] : addLink(v, vertexAt((x + kx - 1) % kx, y));
             }
             if (ky > 1) {
-                connect(v, vertexAt(x, (y + 1) % ky));
-                connect(v, vertexAt(x, (y + ky - 1) % ky));
+                out[py] = addLink(v, vertexAt(x, (y + 1) % ky));
+                out[my] = ky == 2
+                    ? out[py] : addLink(v, vertexAt(x, (y + ky - 1) % ky));
             }
         }
     }
 
-    // Dimension-order (X then Y) shortest-wrap routing.
+    // Dimension-order (X then Y) shortest-wrap routing. A route is
+    // its X leg along the source's row, then its Y leg along the
+    // destination's column; each source row's legs are walked once.
+    std::vector<LinkId> leg;
+    auto walk = [&](PathTable &legs, int v, int delta, int dir) {
+        leg.clear();
+        for (int i = 0; i < std::abs(delta); ++i) {
+            leg.push_back(step[static_cast<std::size_t>(v) * 4 + dir +
+                               (delta < 0)]);
+            v = links_[leg.back()].to;
+        }
+        legs.add({leg.data(), leg.size()});
+    };
+    // Reserve the longest route for every pair: untouched pages of
+    // the over-reservation cost no memory.
+    const auto pairs = static_cast<std::size_t>(n) * n;
+    routes_.reserve(pairs, pairs * static_cast<std::size_t>(kx / 2 + ky / 2));
     for (int sy = 0; sy < ky; ++sy) {
+        PathTable x_legs;   // [sx * kx + dx]
+        PathTable y_legs;   // [dx * ky + dy]
         for (int sx = 0; sx < kx; ++sx) {
-            const NodeId s = static_cast<NodeId>(vertexAt(sx, sy));
+            for (int dx = 0; dx < kx; ++dx)
+                walk(x_legs, vertexAt(sx, sy), ringDelta(sx, dx, kx), px);
+        }
+        for (int dx = 0; dx < kx; ++dx) {
+            for (int dy = 0; dy < ky; ++dy)
+                walk(y_legs, vertexAt(dx, sy), ringDelta(sy, dy, ky), py);
+        }
+        for (int sx = 0; sx < kx; ++sx) {
             for (int dy = 0; dy < ky; ++dy) {
-                for (int dx = 0; dx < kx; ++dx) {
-                    const NodeId d = static_cast<NodeId>(vertexAt(dx, dy));
-                    if (s == d)
-                        continue;
-                    std::vector<LinkId> r;
-                    int x = sx, y = sy;
-                    const int ddx = ringDelta(sx, dx, kx);
-                    const int sx_step = ddx > 0 ? 1 : -1;
-                    for (int i = 0; i < std::abs(ddx); ++i) {
-                        const int nx = ((x + sx_step) % kx + kx) % kx;
-                        r.push_back(link_of.at(
-                            {vertexAt(x, y), vertexAt(nx, y)}));
-                        x = nx;
-                    }
-                    const int ddy = ringDelta(sy, dy, ky);
-                    const int sy_step = ddy > 0 ? 1 : -1;
-                    for (int i = 0; i < std::abs(ddy); ++i) {
-                        const int ny = ((y + sy_step) % ky + ky) % ky;
-                        r.push_back(link_of.at(
-                            {vertexAt(x, y), vertexAt(x, ny)}));
-                        y = ny;
-                    }
-                    setRoute(s, d, std::move(r));
-                }
+                for (int dx = 0; dx < kx; ++dx)
+                    routes_.add(x_legs[sx * kx + dx], y_legs[dx * ky + dy]);
             }
         }
     }

@@ -9,12 +9,14 @@
  * list of links a message crosses, and for every source the spanning
  * tree used for bandwidth-efficient multicast (each link carries one
  * copy of a broadcast, as with the tree-based multicast routing the
- * paper assumes from Duato et al.).
+ * paper assumes from Duato et al.). Both live in flat arrays, built
+ * with no per-route allocation.
  */
 
 #ifndef TOKENSIM_NET_TOPOLOGY_HH
 #define TOKENSIM_NET_TOPOLOGY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,6 +42,108 @@ struct TreeEdge
     int from;      ///< parent vertex
     int to;        ///< child vertex
     int depth;     ///< link's position along the path from the source
+};
+
+/** Read-only view of a contiguous array (C++17 has no std::span). */
+template <typename T>
+class Span
+{
+  public:
+    Span() = default;
+    Span(const T *data, std::size_t size) : data_(data), size_(size) {}
+
+    const T *begin() const { return data_; }
+    const T *end() const { return data_ + size_; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const T &operator[](std::size_t i) const { return data_[i]; }
+
+  private:
+    const T *data_ = nullptr;
+    std::size_t size_ = 0;
+};
+
+/** Link paths stored back to back: one offsets and one links array. */
+class PathTable
+{
+  public:
+    /** Append the path made of @p head followed by @p tail. */
+    void
+    add(Span<LinkId> head, Span<LinkId> tail = {})
+    {
+        links_.insert(links_.end(), head.begin(), head.end());
+        links_.insert(links_.end(), tail.begin(), tail.end());
+        off_.push_back(links_.size());
+    }
+
+    void
+    reserve(std::size_t paths, std::size_t links)
+    {
+        off_.reserve(paths + 1);
+        links_.reserve(links);
+    }
+
+    /** Total links over all paths. */
+    std::size_t linkCount() const { return links_.size(); }
+
+    Span<LinkId>
+    operator[](std::size_t i) const
+    {
+        return {links_.data() + off_[i], off_[i + 1] - off_[i]};
+    }
+
+  private:
+    std::vector<std::size_t> off_{0};
+    std::vector<LinkId> links_;
+};
+
+/** Per-edge fan-out marks (see Tree::marks, Topology::markMulticast). */
+enum : std::uint8_t
+{
+    edgeNeeded = 1,     ///< the edge is crossed
+    edgeDelivers = 2,   ///< the vertex it reaches takes a copy
+    edgeForks = 4,      ///< some child edge is needed
+};
+
+/**
+ * One forwarding tree in flat form: edges in forward order (by depth,
+ * then link id), so a parent edge precedes its children. rootEdges()
+ * lists the edges leaving the root and children(i) the edges leaving
+ * the vertex edge i reaches, both in edge order.
+ */
+struct Tree
+{
+    Tree() = default;
+
+    /** Index @p edges (forward order) of a tree rooted at @p root;
+     *  vertices below @p num_nodes are nodes. */
+    Tree(std::vector<TreeEdge> edges, int root, int num_nodes,
+         int num_vertices);
+
+    const TreeEdge *begin() const { return edges.data(); }
+    const TreeEdge *end() const { return edges.data() + edges.size(); }
+    std::size_t size() const { return edges.size(); }
+    const TreeEdge &operator[](std::size_t i) const { return edges[i]; }
+
+    Span<std::uint32_t>
+    rootEdges() const
+    {
+        return {child.data(), childOff[0]};
+    }
+
+    Span<std::uint32_t>
+    children(std::size_t i) const
+    {
+        return {child.data() + childOff[i], childOff[i + 1] - childOff[i]};
+    }
+
+    std::vector<TreeEdge> edges;
+    /** CSR child lists: the root's children are child[0 ..
+     *  childOff[0]), edge i's are child[childOff[i] .. childOff[i+1]). */
+    std::vector<std::uint32_t> childOff{0};
+    std::vector<std::uint32_t> child;
+    /** Marks of a broadcast: every edge needed, every node served. */
+    std::vector<std::uint8_t> marks;
 };
 
 /**
@@ -68,10 +172,10 @@ class Topology
      * Ordered link ids crossed by a unicast from node @p s to node
      * @p d. Empty when s == d.
      */
-    const std::vector<LinkId> &
+    Span<LinkId>
     route(NodeId s, NodeId d) const
     {
-        return routes_[s * static_cast<NodeId>(numNodes_) + d];
+        return routes_[s * static_cast<std::size_t>(numNodes_) + d];
     }
 
     /** Number of link crossings from @p s to @p d. */
@@ -84,53 +188,47 @@ class Topology
     double averageHops() const;
 
     /**
-     * Spanning tree reaching every node from @p s, edges in
-     * forward (increasing-depth) order. Used for broadcasts.
+     * Spanning tree reaching every node from @p s (the union of its
+     * unicast routes). Used for broadcasts, and masked by
+     * markMulticast() for multicasts.
      */
-    const std::vector<TreeEdge> &
-    broadcastTree(NodeId s) const
-    {
-        return bcastTrees_[s];
-    }
+    const Tree &broadcastTree(NodeId s) const { return bcastTrees_[s]; }
 
     /**
-     * Forwarding edges needed to reach exactly @p dests from @p s
-     * (the union of the unicast routes, deduplicated), in forward
-     * order. Used for destination-set multicast (Section 7).
+     * Mark the edges of broadcastTree(@p s) that a multicast from
+     * @p s to the nodes flagged in @p want (one byte per node) must
+     * cross: @p bits[i] gets edge i's marks. An edge is needed iff its
+     * subtree holds a wanted node, so the needed edges, in tree order,
+     * are exactly the union of the unicast routes to the wanted nodes
+     * in (depth, link) order (Section 7 destination-set multicast).
+     * Returns the needed-edge count.
      */
-    std::vector<TreeEdge> multicastTree(NodeId s,
-        const std::vector<NodeId> &dests) const;
+    std::size_t markMulticast(NodeId s, const std::uint8_t *want,
+                              std::uint8_t *bits) const;
 
     /**
      * True if broadcasts through this topology can be given a total
      * order observed identically by all nodes (required by traditional
      * snooping). Only the indirect tree provides this.
      */
-    virtual bool totallyOrdered() const = 0;
+    bool totallyOrdered() const { return root_ >= 0; }
 
     /** Vertex id of the ordering root; -1 if !totallyOrdered(). */
-    virtual int rootVertex() const { return -1; }
+    int rootVertex() const { return root_; }
 
     /** Links from node @p s up to the ordering root (ordered). */
-    virtual const std::vector<LinkId> &
+    Span<LinkId>
     routeToRoot(NodeId s) const
     {
-        (void)s;
-        static const std::vector<LinkId> empty;
-        return empty;
+        return root_ >= 0 ? toRoot_[s] : Span<LinkId>();
     }
 
     /**
-     * Spanning tree from the ordering root down to every node, edges
-     * in forward order (used for the fan-out half of an ordered
-     * broadcast).
+     * Spanning tree from the ordering root down to every node (used
+     * for the fan-out half of an ordered broadcast); empty if
+     * !totallyOrdered().
      */
-    virtual const std::vector<TreeEdge> &
-    downTree() const
-    {
-        static const std::vector<TreeEdge> empty;
-        return empty;
-    }
+    const Tree &downTree() const { return downTree_; }
 
     /** Short description for reports, e.g. "torus4x4". */
     virtual std::string name() const = 0;
@@ -138,27 +236,22 @@ class Topology
   protected:
     Topology() = default;
 
-    /** Record the basic shape; call before addLink/setRoute. */
-    void init(int num_nodes, int num_vertices);
-
     /** Add a directed link and return its id. */
     LinkId addLink(int from, int to);
-
-    /** Install the unicast route from @p s to @p d. */
-    void setRoute(NodeId s, NodeId d, std::vector<LinkId> links);
 
     /** Derive broadcast trees from the route table; call last. */
     void buildBroadcastTrees();
 
-    /** Build a forward-ordered edge union of routes from s to dests. */
-    std::vector<TreeEdge> unionOfRoutes(NodeId s,
-        const std::vector<NodeId> &dests) const;
-
     int numNodes_ = 0;
     int numVertices_ = 0;
     std::vector<LinkDesc> links_;
-    std::vector<std::vector<LinkId>> routes_;
-    std::vector<std::vector<TreeEdge>> bcastTrees_;
+    /** Unicast routes, indexed s * numNodes() + d, filled in order. */
+    PathTable routes_;
+    std::vector<Tree> bcastTrees_;
+    /** Ordered topologies only: root vertex, climbs, fan-out tree. */
+    int root_ = -1;
+    PathTable toRoot_;
+    Tree downTree_;
 };
 
 /**
@@ -174,27 +267,10 @@ class TreeTopology : public Topology
   public:
     explicit TreeTopology(int num_nodes, int fanout = 4);
 
-    bool totallyOrdered() const override { return true; }
-    int rootVertex() const override { return root_; }
-
-    const std::vector<LinkId> &
-    routeToRoot(NodeId s) const override
-    {
-        return toRoot_[s];
-    }
-
-    const std::vector<TreeEdge> &downTree() const override
-    {
-        return downTree_;
-    }
-
     std::string name() const override;
 
   private:
     int fanout_;
-    int root_;
-    std::vector<std::vector<LinkId>> toRoot_;
-    std::vector<TreeEdge> downTree_;
 };
 
 /**
@@ -211,7 +287,6 @@ class TorusTopology : public Topology
     /** Square torus of n = k*k nodes. */
     static TorusTopology *makeSquare(int num_nodes);
 
-    bool totallyOrdered() const override { return false; }
     std::string name() const override;
 
     int kx() const { return kx_; }

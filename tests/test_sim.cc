@@ -3,7 +3,8 @@
  * Unit tests for the simulation kernel: event queue ordering, time
  * conversions, the deterministic RNG, the statistics utilities, and
  * the allocation-freedom of the Event record / bucket-ring steady
- * state (enforced with a counting global operator new).
+ * state and of network multicast (enforced with a counting global
+ * operator new).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "net/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -633,6 +635,62 @@ TEST(Timer, SteadyStateTimerChurnIsAllocationFree)
     EXPECT_EQ(allocCount(), before)
         << "timer churn allocated on a warmed queue";
     EXPECT_GT(fired, 0u);
+}
+
+class NullEndpoint : public NetworkEndpoint
+{
+  public:
+    void deliver(const Message &) override { ++delivered; }
+    std::uint64_t delivered = 0;
+};
+
+TEST(NetworkAlloc, SteadyStateMulticastIsAllocationFree)
+{
+    // TokenM-style multicast bursts to varying destination sets: once
+    // the transit pool, delivery batches and event ring are warm, the
+    // pruned tree walk (marks in the transit slot, (slot, edge)
+    // fan-out closures) must not allocate.
+    EventQueue eq;
+    Network net(eq, std::unique_ptr<Topology>(makeTopology("torus", 64)));
+    std::vector<NullEndpoint> eps(64);
+    for (NodeId i = 0; i < 64; ++i)
+        net.attach(i, &eps[i]);
+    std::vector<std::vector<NodeId>> sets = {
+        {3, 17, 30, 44, 58}, {0, 1, 2, 63}, {9}, {5, 5, 40, 12, 7, 33}};
+    std::vector<NodeId> all;
+    for (NodeId i = 0; i < 64; ++i)
+        all.push_back(i);
+    sets.push_back(all);
+    auto burst = [&]() {
+        for (NodeId src = 0; src < 64; ++src) {
+            for (const auto &dests : sets) {
+                Message m;
+                m.type = MsgType::getS;
+                m.cls = MsgClass::request;
+                m.src = src;
+                m.addr = 0x40 * (src + 1);
+                net.multicast(m, dests);
+            }
+            // One source's burst at a time keeps deliveries within the
+            // delivery ring's horizon (the rare far-horizon straggler
+            // map allocates by design).
+            eq.run();
+        }
+    };
+    burst();   // warm the slot pool, mark storage, batches and ring
+    net.reset(NetworkParams{});
+    eq.reset();
+    burst();
+    net.reset(NetworkParams{});
+    eq.reset();
+    const std::uint64_t before = allocCount();
+    burst();
+    net.reset(NetworkParams{});
+    eq.reset();
+    burst();
+    EXPECT_EQ(allocCount(), before)
+        << "multicast allocated on a warmed network";
+    EXPECT_GT(eps[17].delivered, 0u);
 }
 
 TEST(Rng, Deterministic)

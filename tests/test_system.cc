@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <tuple>
 
 #include "harness/experiment.hh"
@@ -223,6 +225,33 @@ TEST(SystemConfigErrors, RejectsBadWorkloadName)
     SystemConfig cfg = baseConfig(ProtocolKind::tokenB, "torus",
                                   "doom3");
     EXPECT_THROW(System{cfg}, std::invalid_argument);
+}
+
+TEST(SystemConfigErrors, RejectsInvalidLinkBandwidth)
+{
+    // A limited link needs a positive rate: anything else would turn
+    // the serialization delay into an out-of-range double-to-Tick cast.
+    for (double bw : {0.0, -3.2, std::nan(""), 1e-300}) {
+        SystemConfig cfg = baseConfig(ProtocolKind::tokenB, "torus",
+                                      "oltp");
+        cfg.net.bytesPerNs = bw;
+        try {
+            System sys(cfg);
+            ADD_FAILURE() << "bytesPerNs " << bw << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("bytesPerNs"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // reset() validates the same field; unlimited bandwidth never
+    // reads it.
+    SystemConfig cfg = baseConfig(ProtocolKind::tokenB, "torus", "oltp");
+    System sys(cfg);
+    cfg.net.bytesPerNs = 0;
+    EXPECT_THROW(sys.reset(cfg), std::invalid_argument);
+    cfg.net.unlimitedBandwidth = true;
+    EXPECT_NO_THROW(System{cfg});
 }
 
 } // namespace
