@@ -33,7 +33,7 @@ class TokenACache : public TokenBCache
   public:
     TokenACache(ProtoContext &ctx, NodeId id,
                 const ProtocolParams &params, TokenAuditor *auditor,
-                std::uint64_t seed);
+                std::uint64_t seed, TokenHolderSet &holders);
 
     /** First-issue decisions taken in each mode (for tests/benches). */
     std::uint64_t broadcastIssues() const { return broadcasts_; }

@@ -6,8 +6,9 @@ namespace tokensim {
 
 TokenMCache::TokenMCache(ProtoContext &ctx, NodeId id,
                          const ProtocolParams &params,
-                         TokenAuditor *auditor, std::uint64_t seed)
-    : TokenBCache(ctx, id, params, auditor, seed),
+                         TokenAuditor *auditor, std::uint64_t seed,
+                         TokenHolderSet &holders)
+    : TokenBCache(ctx, id, params, auditor, seed, holders),
       predictor_(params.predictorEntries, ctx.blockBytes,
                  ctx.numNodes)
 {

@@ -136,7 +136,7 @@ class TokenMCache : public TokenBCache
   public:
     TokenMCache(ProtoContext &ctx, NodeId id,
                 const ProtocolParams &params, TokenAuditor *auditor,
-                std::uint64_t seed);
+                std::uint64_t seed, TokenHolderSet &holders);
 
     void handleMessage(const Message &msg) override;
 

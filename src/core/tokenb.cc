@@ -14,7 +14,8 @@ namespace tokensim {
 
 TokenBCache::TokenBCache(ProtoContext &ctx, NodeId id,
                          const ProtocolParams &params,
-                         TokenAuditor *auditor, std::uint64_t seed)
+                         TokenAuditor *auditor, std::uint64_t seed,
+                         TokenHolderSet &holders)
     : CacheController(ctx, id, strformat("tokenb.%u", id)),
       t_(params.tokensPerBlock > 0 ? params.tokensPerBlock
                                    : ctx.numNodes),
@@ -22,10 +23,12 @@ TokenBCache::TokenBCache(ProtoContext &ctx, NodeId id,
       auditor_(auditor),
       rng_(seed),
       l2_(ctx.l2),
+      holders_(holders),
       avgMissLatency_(0.2)
 {
     assert(t_ >= ctx.numNodes &&
            "T must be at least the number of processors");
+    holders_.attach(id, this);
 }
 
 void
@@ -493,16 +496,11 @@ TokenBCache::handlePersistDeactivate(const Message &msg)
 }
 
 TokenLine *
-TokenBCache::findLine(Addr addr)
-{
-    return l2_.find(addr);
-}
-
-TokenLine *
 TokenBCache::allocLine(Addr addr)
 {
     CacheArray<TokenLine>::Victim victim;
     TokenLine *line = l2_.allocate(addr, &victim);
+    holders_.add(addr, id_);
     if (victim.valid)
         evictVictim(victim.line);
     return line;
@@ -512,6 +510,7 @@ void
 TokenBCache::evictVictim(const TokenLine &victim)
 {
     ++stats_.evictions;
+    holders_.remove(victim.addr, id_);
     notifyLineRemoved(victim.addr);
     assert(victim.tokens > 0 && "token-less line survived in cache");
 
@@ -566,6 +565,7 @@ void
 TokenBCache::freeLine(TokenLine &line)
 {
     assert(line.tokens == 0);
+    holders_.remove(line.addr, id_);
     notifyLineRemoved(line.addr);
     l2_.invalidate(line.addr);
 }
@@ -822,10 +822,11 @@ TokenBCache::functionalAlloc(Addr ba, FunctionalEnv &env)
 {
     CacheArray<TokenLine>::Victim victim;
     TokenLine *line = l2_.allocate(ba, &victim);
+    holders_.add(ba, id_);
     if (victim.valid) {
         const TokenLine &v = victim.line;
         assert(v.tokens > 0 && "token-less line survived in cache");
-        env.holders.drop(v.addr, id_);
+        holders_.remove(v.addr, id_);
         notifyLineRemoved(v.addr);
         // The eviction token message, delivered: the home absorbs the
         // tokens (data travels iff we own — invariant #4'). The home's
@@ -874,22 +875,12 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
     // the resulting state is bit-identical to the full scans.
     const TokenCount memView = mem->tokenState(ba);
 
-    // When a scan is unavoidable, the env's holder index bounds it to
+    // When a scan is unavoidable, the token-holder set bounds it to
     // the caches that actually hold the block. The probe order can
-    // differ from the full walk's, but the outcome cannot: GetS takes
-    // from the unique owner wherever it sits, and GetM drains every
-    // actual holder (conservation pins their token total), so the
-    // resulting state is bit-identical either way.
-    const auto holderView = [&] {
-        return env.holders.holders(ba, [&](auto &&push) {
-            for (std::size_t i = 0; i < env.caches.size(); ++i) {
-                if (static_cast<TokenBCache *>(env.caches[i])
-                        ->l2_.find(ba))
-                    push(static_cast<NodeId>(i));
-            }
-        });
-    };
-
+    // differ from a walk over every peer, but the outcome cannot: GetS
+    // takes from the unique owner wherever it sits, and GetM drains
+    // every actual holder (conservation pins their token total), so
+    // the resulting state is bit-identical either way.
     if (!is_store) {
         // GetS: the owner — a cache line holding the owner token, else
         // the home memory — responds exactly as handleTransient would;
@@ -900,34 +891,18 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
         TokenBCache *ownerCache = nullptr;
         TokenLine *ownerLine = nullptr;
         if (!memView.owner) {
-            const HolderIndex::View hv = holderView();
-            if (!hv.overflow) {
-                for (unsigned i = 0; i < hv.n && !ownerLine; ++i) {
-                    if (hv.ids[i] == id_)
-                        continue;
-                    auto *tc = static_cast<TokenBCache *>(
-                        env.caches[hv.ids[i]]);
-                    TokenLine *l = tc->l2_.find(ba);
-                    assert(l && "holder index lists a cache with "
-                                "no line");
-                    if (l->owner) {
-                        ownerCache = tc;
-                        ownerLine = l;
-                    }
-                }
-            } else {
-                for (CacheController *c : env.caches) {
-                    if (c == this)
-                        continue;
-                    auto *tc = static_cast<TokenBCache *>(c);
-                    TokenLine *l = tc->l2_.find(ba);
-                    if (l && l->owner) {
-                        ownerCache = tc;
-                        ownerLine = l;
-                        break;
-                    }
-                }
-            }
+            holders_.forEach(holders_.mask(ba), [&](NodeId id) {
+                if (id == id_)
+                    return true;
+                auto *tc = static_cast<TokenBCache *>(env.caches[id]);
+                TokenLine *l = tc->l2_.find(ba);
+                assert(l && "holder set lists a cache with no line");
+                if (!l->owner)
+                    return true;
+                ownerCache = tc;
+                ownerLine = l;
+                return false;
+            });
             assert(ownerLine &&
                    "owner neither at home nor in any cache");
         }
@@ -947,10 +922,8 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
             ownerLine->tokens -= gotTokens;
             if (gotOwner)
                 ownerLine->owner = false;
-            if (ownerLine->tokens == 0) {
-                env.holders.drop(ba, ownerCache->id_);
+            if (ownerLine->tokens == 0)
                 ownerCache->freeLine(*ownerLine);
-            }
         } else {
             TokenCount &tc = mem->tokensFor(ba);
             assert(tc.owner &&
@@ -962,7 +935,6 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
             value = mem->store_.read(ba);
         }
         TokenLine *nl = line ? line : functionalAlloc(ba, env);
-        env.holders.add(ba, id_);
         nl->tokens += gotTokens;
         assert(nl->tokens <= t_);
         if (gotOwner) {
@@ -988,14 +960,12 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
     assert(inPeers >= 0);
     const auto gatherFrom = [&](TokenBCache *tc) {
         TokenLine *l = tc->l2_.find(ba);
-        if (!l)
-            return;
-        assert(l->tokens > 0);
+        assert(l && l->tokens > 0 &&
+               "holder set lists a cache with no tokens");
         const int n = l->tokens;
         const bool owner = l->owner;
         l->tokens = 0;
         l->owner = false;
-        env.holders.drop(ba, tc->id_);
         tc->freeLine(*l);
         TokenLine *nl = line ? line : functionalAlloc(ba, env);
         line = nl;
@@ -1007,24 +977,17 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
         }
     };
     if (inPeers > 0) {
-        const HolderIndex::View hv = holderView();
-        if (!hv.overflow) {
-            for (unsigned i = 0; i < hv.n && inPeers > 0; ++i) {
-                if (hv.ids[i] == id_)
-                    continue;
-                gatherFrom(static_cast<TokenBCache *>(
-                    env.caches[hv.ids[i]]));
-            }
-            assert(inPeers == 0);
-        } else {
-            for (CacheController *c : env.caches) {
-                if (inPeers == 0)
-                    break;
-                if (c == this)
-                    continue;
-                gatherFrom(static_cast<TokenBCache *>(c));
-            }
-        }
+        // Draining a holder frees its line, which edits the set: walk
+        // a copy of the mask.
+        const std::uint64_t *m = holders_.mask(ba);
+        assert(m && "peers hold tokens but the holder set is empty");
+        gatherMask_.assign(m, m + holders_.words());
+        holders_.forEach(gatherMask_.data(), [&](NodeId id) {
+            if (id != id_)
+                gatherFrom(static_cast<TokenBCache *>(env.caches[id]));
+            return inPeers > 0;
+        });
+        assert(inPeers == 0);
     }
     {
         TokenCount &tc = mem->tokensFor(ba);
@@ -1041,7 +1004,6 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
             }
         }
     }
-    env.holders.add(ba, id_);
     assert(line && line->tokens == t_ && line->owner &&
            "store gathered fewer than T tokens");
     line->validData = true;
@@ -1106,6 +1068,7 @@ TokenBCache::decodeWarmState(WireReader &r)
             throw WireError("valid data without a token");
         TokenLine *l = l2_.restoreWay(static_cast<std::size_t>(way),
                                       addr, stamp);
+        holders_.add(addr, id_);
         l->tokens = static_cast<int>(tokens);
         l->owner = owner;
         l->validData = validData;

@@ -33,6 +33,7 @@
 
 #include "core/persistent.hh"
 #include "core/substrate.hh"
+#include "core/token_holders.hh"
 #include "core/token_state.hh"
 #include "mem/block_map.hh"
 #include "mem/cache.hh"
@@ -42,15 +43,18 @@
 
 namespace tokensim {
 
-/** An L2 line under Token Coherence: tokens live in the tag state. */
+/** An L2 line under Token Coherence: tokens live in the tag state.
+ *  The flags come first so they fill CacheLineBase's tail padding. */
 struct TokenLine : CacheLineBase
 {
-    int tokens = 0;        ///< total tokens held (including owner)
     bool owner = false;    ///< owner token held
     bool validData = false;///< data-valid bit (invariant #3')
     bool dirty = false;    ///< written while holding all tokens
+    int tokens = 0;        ///< total tokens held (including owner)
     std::uint64_t data = 0;
 };
+static_assert(sizeof(TokenLine) == 24,
+              "TokenLine's flags no longer pack into the base's padding");
 
 /**
  * Token-coherence L2 cache controller running the TokenB performance
@@ -65,10 +69,12 @@ class TokenBCache : public CacheController, public TokenHolder
      * @param params protocol tuning (tokensPerBlock, reissue policy).
      * @param auditor optional conservation checker (tests).
      * @param seed RNG seed for the randomized reissue backoff.
+     * @param holders the System's token-holder set, which this cache
+     *     keeps current for its own L2.
      */
     TokenBCache(ProtoContext &ctx, NodeId id,
                 const ProtocolParams &params, TokenAuditor *auditor,
-                std::uint64_t seed);
+                std::uint64_t seed, TokenHolderSet &holders);
 
     void request(const ProcRequest &req) override;
     void handleMessage(const Message &msg) override;
@@ -99,6 +105,10 @@ class TokenBCache : public CacheController, public TokenHolder
 
     /** True if no transaction is outstanding (test teardown). */
     bool quiescent() const { return outstanding_.empty(); }
+
+    /** L2 residency, for checking the token-holder set. */
+    bool resident(Addr block_addr) const { return l2_.contains(block_addr); }
+    std::uint64_t residentLines() const { return l2_.validCount(); }
 
     /** Current MOESI-equivalent state of a block (tests). */
     TokenMoesi moesiState(Addr addr) const;
@@ -139,8 +149,7 @@ class TokenBCache : public CacheController, public TokenHolder
     void handlePersistActivate(const Message &msg);
     void handlePersistDeactivate(const Message &msg);
 
-    /** Find (or allocate, evicting if needed) the line for a block. */
-    TokenLine *findLine(Addr addr);
+    /** Allocate the line for a block, evicting if needed. */
     TokenLine *allocLine(Addr addr);
 
     /** Fast-forward allocation: a victim's tokens (and data, when it
@@ -179,6 +188,12 @@ class TokenBCache : public CacheController, public TokenHolder
     TokenAuditor *auditor_;
     Rng rng_;
     CacheArray<TokenLine> l2_;
+    /** Kept equal to l2_'s residency by every line allocation, free
+     *  and eviction. */
+    TokenHolderSet &holders_;
+    /** A store's copy of its block's holders (fast-forward drains
+     *  them, which edits the set). */
+    std::vector<std::uint64_t> gatherMask_;
     BlockMap<Transaction> outstanding_;
 
     /**

@@ -146,6 +146,10 @@ runRandomTester(const RandomTesterConfig &cfg)
                         ok = false;
                         error = "mid-run conservation violated: " +
                             audit_err;
+                    } else if (!sys.checkTokenHolders(&audit_err)) {
+                        ok = false;
+                        error = "mid-run holder set diverged: " +
+                            audit_err;
                     }
                 }
             });
@@ -165,6 +169,9 @@ runRandomTester(const RandomTesterConfig &cfg)
         if (!sys.auditor()->auditAll(&audit_err)) {
             ok = false;
             error = "token conservation violated: " + audit_err;
+        } else if (!sys.checkTokenHolders(&audit_err)) {
+            ok = false;
+            error = "holder set diverged: " + audit_err;
         }
     }
 

@@ -45,6 +45,16 @@ System::System(const SystemConfig &cfg)
             ? cfg_.proto.tokensPerBlock : cfg_.numNodes;
         auditor_ = std::make_unique<TokenAuditor>(t, cfg_.blockBytes);
     }
+    if (isTokenProtocol(cfg_.protocol)) {
+        holders_ = std::make_unique<TokenHolderSet>(cfg_.numNodes,
+                                                    cfg_.blockBytes);
+        // Every token cache ignores a transient request for a block
+        // it holds no tokens for, except TokenM's, whose predictor
+        // trains on every request it observes
+        // (TokenMCache::handleMessage).
+        if (cfg_.protocol != ProtocolKind::tokenM)
+            net_->setTokenHolders(holders_.get());
+    }
 
     addrMap_.blockBytes = cfg_.blockBytes;
     configureWorkloads();
@@ -140,6 +150,8 @@ System::reset(const SystemConfig &cfg, bool trust_factory)
     net_->reset(cfg_.net);
     if (auditor_)
         auditor_->reset();
+    if (holders_)
+        holders_->clear();
     measureStart_ = 0;
     measureStartScheduled_ = 0;
     measureStartDispatched_ = 0;
@@ -207,32 +219,37 @@ System::buildControllers(NodeId id, std::uint64_t seed)
         break;
       case ProtocolKind::tokenB:
         caches_.push_back(
-            std::make_unique<TokenBCache>(ctx_, id, p, aud, seed));
+            std::make_unique<TokenBCache>(ctx_, id, p, aud, seed,
+                                          *holders_));
         memories_.push_back(
             std::make_unique<TokenBMemory>(ctx_, id, p, aud));
         break;
       case ProtocolKind::tokenD:
         caches_.push_back(
-            std::make_unique<TokenDCache>(ctx_, id, p, aud, seed));
+            std::make_unique<TokenDCache>(ctx_, id, p, aud, seed,
+                                          *holders_));
         memories_.push_back(
             std::make_unique<TokenDMemory>(ctx_, id, p, aud));
         break;
       case ProtocolKind::tokenM:
         caches_.push_back(
-            std::make_unique<TokenMCache>(ctx_, id, p, aud, seed));
+            std::make_unique<TokenMCache>(ctx_, id, p, aud, seed,
+                                          *holders_));
         memories_.push_back(
             std::make_unique<TokenBMemory>(ctx_, id, p, aud));
         break;
       case ProtocolKind::tokenA:
         // Adaptive issue policy over TokenD's soft-state home.
         caches_.push_back(
-            std::make_unique<TokenACache>(ctx_, id, p, aud, seed));
+            std::make_unique<TokenACache>(ctx_, id, p, aud, seed,
+                                          *holders_));
         memories_.push_back(
             std::make_unique<TokenDMemory>(ctx_, id, p, aud));
         break;
       case ProtocolKind::tokenNull:
         caches_.push_back(
-            std::make_unique<TokenNullCache>(ctx_, id, p, aud, seed));
+            std::make_unique<TokenNullCache>(ctx_, id, p, aud, seed,
+                                             *holders_));
         memories_.push_back(
             std::make_unique<TokenBMemory>(ctx_, id, p, aud));
         break;
@@ -389,6 +406,45 @@ System::makeWorkload(NodeId node, std::uint64_t seed)
             std::move(wl), traceWriter_.get(), node);
     }
     return wl;
+}
+
+bool
+System::checkTokenHolders(std::string *err) const
+{
+    if (!holders_)
+        return true;
+    std::uint64_t listed = 0;
+    bool ok = true;
+    holders_->forEachBlock([&](Addr ba, const std::uint64_t *mask) {
+        holders_->forEach(mask, [&](NodeId id) {
+            ++listed;
+            if (ok && !static_cast<const TokenBCache &>(*caches_[id])
+                           .resident(ba)) {
+                ok = false;
+                if (err) {
+                    *err = strformat("block %#lx: the holder set lists "
+                                     "cache %u, whose L2 lacks it",
+                                     static_cast<unsigned long>(ba), id);
+                }
+            }
+            return true;
+        });
+    });
+    if (!ok)
+        return false;
+    std::uint64_t lines = 0;
+    for (const auto &c : caches_)
+        lines += static_cast<const TokenBCache &>(*c).residentLines();
+    if (lines != listed) {
+        if (err) {
+            *err = strformat("the caches hold %lu lines but the holder "
+                             "set lists %lu",
+                             static_cast<unsigned long>(lines),
+                             static_cast<unsigned long>(listed));
+        }
+        return false;
+    }
+    return true;
 }
 
 bool

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/substrate.hh"
+#include "core/token_holders.hh"
 #include "cpu/sequencer.hh"
 #include "net/network.hh"
 #include "proto/controller.hh"
@@ -301,6 +302,17 @@ class System
     /** The conservation auditor, if attachAuditor was set. */
     TokenAuditor *auditor() { return auditor_.get(); }
 
+    /** Which caches hold each block (token protocols; else nullptr). */
+    const TokenHolderSet *tokenHolders() const { return holders_.get(); }
+
+    /**
+     * Check tokenHolders() against every cache's L2: each listed
+     * holder has the block resident, and the set lists as many
+     * (cache, block) pairs as the caches hold lines. True for
+     * protocols without a set. On a mismatch fills @p err.
+     */
+    bool checkTokenHolders(std::string *err = nullptr) const;
+
     /** All sequencers retired their budgets. */
     bool allDone() const;
 
@@ -514,6 +526,7 @@ class System
     std::unique_ptr<Network> net_;
     ProtoContext ctx_;
     std::unique_ptr<TokenAuditor> auditor_;
+    std::unique_ptr<TokenHolderSet> holders_;
     AddressMap addrMap_;
     std::unique_ptr<WorkloadFactory> wlFactory_;
     /** Per-tenant factories (multi-tenant mode; else empty). */

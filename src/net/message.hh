@@ -166,7 +166,8 @@ struct Message
 /**
  * Delivery interface implemented by each system node. The network calls
  * deliver() exactly once per (message, destination) pair at the tick the
- * message arrives.
+ * message arrives — except for the transient-request copies it skips
+ * because the destination would ignore them (Network::setTokenHolders).
  */
 class NetworkEndpoint
 {

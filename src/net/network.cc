@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/substrate.hh"
+#include "core/token_holders.hh"
 #include "sim/log.hh"
 
 namespace tokensim {
@@ -159,6 +161,27 @@ Network::flushDeliveries(Tick when)
         batch.swap(deliveryRing_[when & deliveryRingMask]);
     }
     assert(!batch.empty());
+    if (holders_)
+        deliverBatch<true>(batch);
+    else
+        deliverBatch<false>(batch);
+    batch.clear();
+    batchPool_.push_back(std::move(batch));
+}
+
+template <bool SkipIgnored>
+void
+Network::deliverBatch(const std::vector<Delivery> &batch)
+{
+    // The holders of the transient request last looked up. Copies of
+    // one message landing on one tick mostly sit next to each other in
+    // the batch; such a run shares one lookup unless a handler in
+    // between changed the set.
+    std::uint32_t memoSlot = noSlot;
+    std::uint64_t memoGeneration = 0;
+    const std::uint64_t *memoMask = nullptr;
+    NodeId memoHome = invalidNode;
+    const bool tracing = logging::enabled(logging::Level::trace);
     for (const Delivery &d : batch) {
         ++stats_.deliveries;
         // Deliver straight out of the pool: the deque keeps the slot
@@ -168,15 +191,33 @@ Network::flushDeliveries(Tick when)
         msg.dest = d.dest;
         stats_.latency.add(
             static_cast<double>(eq_.curTick() - msg.sentAt));
-        if (logging::enabled(logging::Level::trace)) {
+        if (tracing) {
             logging::write(logging::Level::trace, eq_.curTick(), "net",
                            "deliver " + msg.toString());
+        }
+        if constexpr (SkipIgnored) {
+            if (msg.isBroadcast && (msg.type == MsgType::getS ||
+                                    msg.type == MsgType::getM)) {
+                if (d.slot != memoSlot ||
+                    holders_->generation() != memoGeneration) {
+                    memoSlot = d.slot;
+                    memoGeneration = holders_->generation();
+                    memoMask = holders_->mask(msg.addr);
+                    memoHome = holders_->home(msg.addr);
+                }
+                if (d.dest != memoHome &&
+                    !TokenHolderSet::test(memoMask, d.dest)) {
+                    assert(holders_->cache(d.dest)->tokensHeld(
+                               msg.addr) == 0 &&
+                           "skipped a transient request to a holder");
+                    slotRelease(d.slot);
+                    continue;
+                }
+            }
         }
         endpoints_[d.dest]->deliver(msg);
         slotRelease(d.slot);
     }
-    batch.clear();
-    batchPool_.push_back(std::move(batch));
 }
 
 Tick

@@ -34,6 +34,26 @@
  * The "unlimited bandwidth" configuration used for the dark-grey bars of
  * Figure 4a/5a zeroes serialization and occupancy, leaving pure latency.
  *
+ * Copies a token cache would ignore are not delivered. With a
+ * TokenHolderSet installed (setTokenHolders), a broadcast or multicast
+ * copy of a transient request (getS/getM) is dropped at flush time
+ * when its destination neither homes the block nor holds it in L2.
+ * This is exact: TokenBCache::handleTransient returns before changing
+ * any state when the copy is the requester's own echo, when the block
+ * has a persistent-table entry, or when its L2 has no line for the
+ * block, and the find() that decides the last case leaves LRU alone.
+ * The skip drops only copies of the last kind, which the set names
+ * exactly, and the home's memory controller always gets its copy.
+ * Link timing, fan-out and traffic accounting are untouched, and a
+ * skipped copy is still counted in TrafficStats::deliveries and
+ * latency, in the same order; only the endpoint call is saved. The
+ * set is read when the copy's turn comes, because handlers earlier in
+ * the same batch can add or remove holders: a run of copies of one
+ * message shares one lookup until the set's generation moves. Only
+ * flushes on a network with a set installed check the message, so
+ * protocols without one pay nothing. Debug builds assert that every
+ * skipped copy's cache holds no tokens for the block.
+ *
  * In-flight messages are pooled: a send copies the Message once into a
  * refcounted transit slot, and every forwarding event / batched
  * delivery carries only the 4-byte slot index. Slots recycle through a
@@ -58,6 +78,8 @@
 #include "sim/types.hh"
 
 namespace tokensim {
+
+class TokenHolderSet;
 
 /** Tunable parameters of the link/network model (Table 1 defaults). */
 struct NetworkParams
@@ -145,6 +167,14 @@ class Network
 
     /** Attach the endpoint for node @p id (must cover all nodes). */
     void attach(NodeId id, NetworkEndpoint *ep);
+
+    /**
+     * Skip the transient-request broadcast copies that a non-holder
+     * of the block would ignore, reading holders from @p holders (see
+     * the file comment). Install it only when every endpoint's cache
+     * ignores a transient request for a block it holds no tokens for.
+     */
+    void setTokenHolders(const TokenHolderSet *holders) { holders_ = holders; }
 
     /** Number of endpoint nodes. */
     int numNodes() const { return topo_->numNodes(); }
@@ -333,6 +363,11 @@ class Network
         std::uint32_t slot;
     };
 
+    /** The delivery loop of flushDeliveries; @p SkipIgnored drops
+     *  the copies holders_ shows would be ignored. */
+    template <bool SkipIgnored>
+    void deliverBatch(const std::vector<Delivery> &batch);
+
     EventQueue &eq_;
     std::unique_ptr<Topology> topo_;
     NetworkParams params_;
@@ -340,6 +375,8 @@ class Network
     Tick ctrlSer_ = 0;
     Tick dataSer_ = 0;
     std::vector<NetworkEndpoint *> endpoints_;
+    /** Token holders for skipping ignored copies, or nullptr. */
+    const TokenHolderSet *holders_ = nullptr;
     std::vector<Tick> linkFree_;
     /** In-flight message pool (see above), in fixed-size chunks. */
     std::vector<std::unique_ptr<TransitSlot[]>> slotChunks_;

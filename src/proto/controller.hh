@@ -32,125 +32,6 @@ class CacheController;
 class MemoryController;
 
 /**
- * Exact per-block index of which caches hold coherence state for a
- * block. Profiling shows functional fast-forward is dominated not by
- * its own bookkeeping but by the O(numNodes) peer-tag probes of the
- * miss path — each probe walks a cold set of another node's tag
- * array. The index bounds those walks to the handful of actual
- * holders: the first miss that needs a scan pays the full walk once
- * (via the @p scan callback) and every later miss on that block
- * probes only the recorded holders.
- *
- * The index is exact, not advisory. One env lives for the duration of
- * one System::fastForward call, and while it lives every mutation of
- * cache-resident block state flows through the protocol's functional
- * path, which keeps the list current through add()/drop(). Detailed
- * windows between fast-forward spans move state over the network,
- * invisibly to any index — which is why the env (and the index with
- * it) is rebuilt per call rather than kept on the System.
- *
- * Per block the index stores a small fixed list of holder ids — node
- * count does not bound it, so it keeps working at the wide tiers
- * where it matters most. A block shared more widely than the list
- * capacity overflows, and overflow means "probe everyone": the scan
- * falls back to the full walk for that block, never to a wrong
- * answer.
- */
-class HolderIndex
-{
-  public:
-    /** Most blocks have a handful of sharers; hot widely-shared
-     *  blocks overflow and take the full walk. */
-    static constexpr unsigned cap = 14;
-
-    /** Snapshot of one block's holder list. Copied out because the
-     *  caller mutates the index (drop/add) while it walks the list. */
-    struct View
-    {
-        std::uint16_t ids[cap];
-        unsigned n = 0;
-        bool overflow = false;
-    };
-
-    /**
-     * The holder list for @p ba. On first use runs @p scan(push) —
-     * which must call push(id) for every cache currently holding
-     * state for the block, the requester included — and remembers
-     * the result.
-     */
-    template <typename Scan>
-    View
-    holders(Addr ba, Scan &&scan)
-    {
-        auto [it, inserted] = sets_.emplace(ba);
-        if (inserted) {
-            it->second = Entry{};
-            Entry &e = it->second;
-            scan([&e](NodeId id) { push(e, id); });
-        }
-        const Entry &e = it->second;
-        View v;
-        v.n = e.n;
-        v.overflow = e.overflow;
-        for (unsigned i = 0; i < e.n; ++i)
-            v.ids[i] = e.ids[i];
-        return v;
-    }
-
-    /** Record that cache @p id now holds state for @p ba. */
-    void
-    add(Addr ba, NodeId id)
-    {
-        auto it = sets_.find(ba);
-        if (it != sets_.end())
-            push(it->second, id);
-    }
-
-    /** Record that cache @p id no longer holds state for @p ba. */
-    void
-    drop(Addr ba, NodeId id)
-    {
-        auto it = sets_.find(ba);
-        if (it == sets_.end())
-            return;
-        Entry &e = it->second;
-        if (e.overflow)
-            return;     // membership unknown; stays "probe everyone"
-        for (unsigned i = 0; i < e.n; ++i) {
-            if (e.ids[i] == id) {
-                e.ids[i] = e.ids[--e.n];
-                return;
-            }
-        }
-    }
-
-  private:
-    struct Entry
-    {
-        std::uint16_t ids[cap];
-        std::uint16_t n = 0;
-        bool overflow = false;
-    };
-
-    static void
-    push(Entry &e, NodeId id)
-    {
-        if (e.overflow)
-            return;
-        for (unsigned i = 0; i < e.n; ++i)
-            if (e.ids[i] == id)
-                return;
-        if (e.n == cap) {
-            e.overflow = true;
-            return;
-        }
-        e.ids[e.n++] = static_cast<std::uint16_t>(id);
-    }
-
-    BlockMap<Entry> sets_;
-};
-
-/**
  * The whole-system view a functional fast-forward op runs against.
  * Fast-forward bypasses the network entirely: the requesting cache
  * controller reaches straight into its peers and the home memory and
@@ -163,9 +44,6 @@ struct FunctionalEnv
 {
     std::vector<CacheController *> caches;
     std::vector<MemoryController *> memories;
-
-    /** Peer-scan accelerator (exact; see HolderIndex). */
-    HolderIndex holders;
 };
 
 /** Common plumbing for cache and memory controllers. */

@@ -503,6 +503,92 @@ TEST(MultiTenant, ShapeFingerprintSeesTenantList)
 }
 
 // ---------------------------------------------------------------------
+// The token-holder set.
+// ---------------------------------------------------------------------
+
+constexpr ProtocolKind tokenFamilies[] = {
+    ProtocolKind::tokenB, ProtocolKind::tokenD, ProtocolKind::tokenM,
+    ProtocolKind::tokenA, ProtocolKind::tokenNull,
+};
+
+void
+expectHoldersMatch(const System &sys, const char *when)
+{
+    std::string err;
+    EXPECT_TRUE(sys.checkTokenHolders(&err))
+        << protocolName(sys.config().protocol) << " " << when << ": "
+        << err;
+}
+
+TEST(TokenHolders, MatchTheCachesThroughEveryPhase)
+{
+    for (ProtocolKind proto : tokenFamilies) {
+        // A 64 KB L2 under oltp's 4096-block preamble: both engines
+        // evict as well as allocate and free.
+        SystemConfig cfg = baseCfg(proto);
+        cfg.l2 = CacheParams{64 * 1024, 4, 64, nsToTicks(6)};
+        System sys(cfg);
+        ASSERT_NE(sys.tokenHolders(), nullptr);
+        sys.fastForward(1500);
+        expectHoldersMatch(sys, "after fast-forward");
+
+        const std::string snap = saveWarmSnapshot(sys);
+        System restored(cfg);
+        loadWarmSnapshot(restored, snap);
+        expectHoldersMatch(restored, "after a snapshot restore");
+
+        sys.run();
+        expectHoldersMatch(sys, "after a detailed run");
+        std::uint64_t evictions = 0;
+        for (int i = 0; i < cfg.numNodes; ++i)
+            evictions += sys.cache(static_cast<NodeId>(i)).stats().evictions;
+        EXPECT_GT(evictions, 0u) << protocolName(proto);
+        restored.run();
+        EXPECT_TRUE(sys.results().metrics == restored.results().metrics)
+            << protocolName(proto);
+
+        SystemConfig reseeded = cfg;
+        reseeded.seed = cfg.seed + 1;
+        ASSERT_TRUE(sys.reset(reseeded));
+        expectHoldersMatch(sys, "after reset");
+        sys.run();
+        expectHoldersMatch(sys, "after a run on a reset System");
+    }
+}
+
+TEST(TokenHolders, OnlyTokenProtocolsKeepASet)
+{
+    for (ProtocolKind proto : snapshotFamilies) {
+        System sys(baseCfg(proto));
+        EXPECT_EQ(sys.tokenHolders() != nullptr, isTokenProtocol(proto))
+            << protocolName(proto);
+        EXPECT_TRUE(sys.checkTokenHolders());
+    }
+}
+
+TEST(TokenHolders, KilonodeMasksSpanManyWords)
+{
+    // 1024 caches: 16 mask words per block, and 1024-way broadcasts
+    // whose ignored copies the network skips.
+    SystemConfig cfg;
+    cfg.numNodes = 1024;
+    cfg.topology = "torus";
+    cfg.protocol = ProtocolKind::tokenB;
+    cfg.workload = "ycsb";
+    cfg.l2 = CacheParams{64 * 1024, 4, 64, nsToTicks(6)};
+    cfg.seq.l1 = CacheParams{16 * 1024, 2, 64, nsToTicks(1)};
+    cfg.opsPerProcessor = 1;
+    cfg.seed = 99;
+    System sys(cfg);
+    EXPECT_EQ(sys.tokenHolders()->words(), 16u);
+    sys.fastForward(100);
+    expectHoldersMatch(sys, "after fast-forward");
+    sys.run();
+    expectHoldersMatch(sys, "after a detailed run");
+    EXPECT_EQ(sys.results().ops(), std::uint64_t{1024});
+}
+
+// ---------------------------------------------------------------------
 // Kilonode scale.
 // ---------------------------------------------------------------------
 

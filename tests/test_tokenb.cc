@@ -32,6 +32,63 @@ tmem(ProtoDriver &d, NodeId n)
 // Block 0x400 on a 4-node system: home = (0x400/64) % 4 = 0.
 constexpr Addr kBlock = 0x400;
 
+/** A node endpoint that counts what the network hands it. */
+class CountingNode : public NetworkEndpoint
+{
+  public:
+    CountingNode(System &sys, NodeId id)
+        : node_(sys.ctx(), id, &sys.cache(id), &sys.memory(id))
+    {}
+
+    void
+    deliver(const Message &msg) override
+    {
+        ++delivered;
+        if (msg.type == MsgType::getS || msg.type == MsgType::getM)
+            ++transients;
+        node_.deliver(msg);
+    }
+
+    std::uint64_t delivered = 0;
+    std::uint64_t transients = 0;
+
+  private:
+    Node node_;
+};
+
+/** Attach a CountingNode in place of every node of @p sys. */
+std::vector<std::unique_ptr<CountingNode>>
+countDeliveries(System &sys)
+{
+    std::vector<std::unique_ptr<CountingNode>> nodes;
+    for (int i = 0; i < sys.numNodes(); ++i) {
+        const auto id = static_cast<NodeId>(i);
+        nodes.push_back(std::make_unique<CountingNode>(sys, id));
+        sys.net().attach(id, nodes.back().get());
+    }
+    return nodes;
+}
+
+/** Transient requests each node was handed. */
+std::vector<std::uint64_t>
+transientsPerNode(const std::vector<std::unique_ptr<CountingNode>> &nodes)
+{
+    std::vector<std::uint64_t> out;
+    for (const auto &n : nodes)
+        out.push_back(n->transients);
+    return out;
+}
+
+/** Copies the network counted but no endpoint was handed. */
+std::uint64_t
+skipped(System &sys, const std::vector<std::unique_ptr<CountingNode>> &nodes)
+{
+    std::uint64_t handed = 0;
+    for (const auto &n : nodes)
+        handed += n->delivered;
+    return sys.net().traffic().deliveries - handed;
+}
+
 TEST(TokenB, ColdLoadGetsOneTokenFromMemory)
 {
     ProtoDriver d(smallConfig(ProtocolKind::tokenB));
@@ -301,6 +358,55 @@ TEST(TokenB, SequentialOwnershipChainAcrossAllNodes)
         }
     }
     d.drain();
+    d.expectConserved();
+}
+
+TEST(TokenB, BroadcastReachesOnlyTheHomeAndTheHolders)
+{
+    // 8 nodes; block 5 * 64 is homed at node 5.
+    ProtoDriver d(smallConfig(ProtocolKind::tokenB, "torus", 8));
+    const auto nodes = countDeliveries(*d.sys);
+    constexpr Addr blk = 5 * 64;
+    std::string err;
+
+    // Nobody holds the block: only the home sees the request, and the
+    // other seven copies (the requester's echo included) are skipped.
+    d.load(1, blk);
+    using V = std::vector<std::uint64_t>;
+    EXPECT_EQ(transientsPerNode(nodes), (V{0, 0, 0, 0, 0, 1, 0, 0}));
+    EXPECT_EQ(skipped(*d.sys, nodes), 7u);
+    EXPECT_TRUE(d.sys->checkTokenHolders(&err)) << err;
+
+    // Node 1 now holds a token and sees the next request.
+    d.load(2, blk);
+    EXPECT_EQ(transientsPerNode(nodes), (V{0, 1, 0, 0, 0, 2, 0, 0}));
+    EXPECT_EQ(skipped(*d.sys, nodes), 13u);
+
+    // A store reaches both readers, which give up their tokens.
+    d.store(3, blk, 0x77);
+    EXPECT_EQ(transientsPerNode(nodes), (V{0, 2, 1, 0, 0, 3, 0, 0}));
+    EXPECT_EQ(skipped(*d.sys, nodes), 18u);
+    d.drain();
+    EXPECT_TRUE(d.sys->checkTokenHolders(&err)) << err;
+    const std::uint64_t *holders = d.sys->tokenHolders()->mask(blk);
+    EXPECT_TRUE(TokenHolderSet::test(holders, 3));
+    EXPECT_FALSE(TokenHolderSet::test(holders, 1));
+    d.expectConserved();
+}
+
+TEST(TokenB, TokenMOptsOutOfTheSkip)
+{
+    // TokenM opts out of the skip: every copy reaches its endpoint.
+    ProtoDriver d(smallConfig(ProtocolKind::tokenM, "torus", 8));
+    const auto nodes = countDeliveries(*d.sys);
+    constexpr Addr blk = 5 * 64;
+    d.load(1, blk);
+    d.load(2, blk);
+    d.store(3, blk, 0x77);
+    d.drain();
+    EXPECT_EQ(skipped(*d.sys, nodes), 0u);
+    std::string err;
+    EXPECT_TRUE(d.sys->checkTokenHolders(&err)) << err;
     d.expectConserved();
 }
 
