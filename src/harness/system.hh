@@ -254,8 +254,8 @@ class System
     /**
      * Reinitialize this System in place for @p cfg — bit-identically
      * equivalent to destroying it and constructing System(cfg), but
-     * reusing every large allocation (cache arrays, event-queue
-     * buckets, network pools, cached topology trees). This is the
+     * reusing every large allocation (cache arrays, event and
+     * delivery chunk pools, network pools, cached topology trees). This is the
      * reusable-System path the ParallelRunner drives per worker:
      * per-shard construction cost drops to a state wipe.
      *

@@ -16,7 +16,10 @@
  * entries exposing `first`/`second` so call sites are drop-in.
  * Deletion uses tombstones; the table rehashes when live + dead slots
  * pass 7/8 occupancy (shrinking never happens — the reusable-System
- * path wants the capacity back on the next run).
+ * path wants the capacity back on the next run). A rehash that keeps
+ * the size (mostly tombstones, as a churning table accumulates) works
+ * in place through a retained scratch list, so a warm table under
+ * steady insert/erase churn does not allocate.
  *
  * Keys must be block-aligned addresses (or at least never the two
  * all-ones sentinel values — asserted), which every user guarantees by
@@ -26,6 +29,7 @@
 #ifndef TOKENSIM_MEM_BLOCK_MAP_HH
 #define TOKENSIM_MEM_BLOCK_MAP_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -275,6 +279,10 @@ class BlockMap
             ? 16
             : (size_ * 4 >= keys_.size() ? keys_.size() * 2
                                          : keys_.size());
+        if (newCap == keys_.size()) {
+            purgeTombs();
+            return;
+        }
         std::vector<Addr> oldKeys(newCap, emptyKey);
         std::vector<T> oldValues(newCap);
         oldKeys.swap(keys_);
@@ -295,9 +303,36 @@ class BlockMap
         }
     }
 
+    /**
+     * Same-size rehash in place: reinsert the live entries in slot
+     * order into the cleared table — the layout rehash() would build
+     * in new arrays — staging them in scratch_, whose capacity is kept.
+     */
+    void
+    purgeTombs()
+    {
+        for (std::size_t j = 0; j < keys_.size(); ++j) {
+            if (keys_[j] != emptyKey && keys_[j] != tombKey)
+                scratch_.emplace_back(keys_[j], std::move(values_[j]));
+        }
+        std::fill(keys_.begin(), keys_.end(), emptyKey);
+        tombs_ = 0;
+        const std::size_t mask = keys_.size() - 1;
+        for (auto &[k, v] : scratch_) {
+            std::size_t i = hashOf(k) & mask;
+            while (keys_[i] != emptyKey)
+                i = (i + 1) & mask;
+            keys_[i] = k;
+            values_[i] = std::move(v);
+        }
+        scratch_.clear();
+    }
+
     /** SoA table: probe keys_ only; values_ touched on hit. */
     std::vector<Addr> keys_;
     std::vector<T> values_;
+    /** Live entries staged by purgeTombs() (empty between calls). */
+    std::vector<std::pair<Addr, T>> scratch_;
     std::size_t size_ = 0;
     std::size_t tombs_ = 0;
 };

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "core/substrate.hh"
 #include "core/token_holders.hh"
@@ -38,9 +39,11 @@ Network::reset(const NetworkParams &params)
     stats_.clear();
     orderSeq_ = 0;
     // A drained system has no pending deliveries or live slots; clear
-    // defensively (capacity is retained either way).
-    for (auto &b : deliveryRing_)
-        b.clear();
+    // defensively (the chunks stay pooled either way).
+    for (Batch &b : deliveryRing_)
+        deliveryPool_.clear(b);
+    for (auto &&far : farDeliveries_)
+        deliveryPool_.clear(far.second);
     farDeliveries_.clear();
     // Recycle all pool chunks: nothing is in flight in a drained
     // system, so simply rewind the allocation cursor.
@@ -122,56 +125,49 @@ Network::scheduleDelivery(NodeId dest, std::uint32_t slot, Tick when)
     assert(endpoints_[dest] &&
            "message sent to node with no attached endpoint");
     slotAddRef(slot);
-    std::vector<Delivery> *batch;
+    Batch *batch;
     if (when - eq_.curTick() < deliveryRingSize) {
         batch = &deliveryRing_[when & deliveryRingMask];
     } else {
         batch = &farDeliveries_[when];
     }
-    if (batch->empty()) {
-        // First delivery landing on this tick: adopt a retired batch
-        // vector (keeps its capacity) and schedule the single flush
-        // event for this tick.
-        if (!batchPool_.empty()) {
-            *batch = std::move(batchPool_.back());
-            batchPool_.pop_back();
-        }
+    // The first delivery landing on this tick schedules the batch's
+    // single flush event.
+    if (batch->empty())
         eq_.schedule(when, [this, when]() { flushDeliveries(when); });
-    }
-    batch->push_back(Delivery{dest, slot});
+    deliveryPool_.push(*batch, Delivery{dest, slot});
 }
 
 void
 Network::flushDeliveries(Tick when)
 {
-    // Move the whole batch out: a handler may send a message whose
+    // Detach the whole batch: a handler may send a message whose
     // delivery lands on this same tick, which opens a fresh batch (and
-    // its own flush event) without disturbing this iteration.
-    std::vector<Delivery> batch;
+    // its own flush event) without disturbing this walk.
+    Batch batch;
     // Far-map batches flush before any same-tick ring batch: every
     // far entry for this tick was scheduled while the tick was still
     // beyond the ring horizon, i.e. strictly before any ring entry,
     // and its flush event was likewise scheduled first — so checking
     // the far map first preserves exact per-tick scheduling order.
-    auto far = farDeliveries_.find(when);
+    auto far = farDeliveries_.empty() ? farDeliveries_.end()
+                                      : farDeliveries_.find(when);
     if (far != farDeliveries_.end()) {
-        batch = std::move(far->second);
+        batch = far->second;
         farDeliveries_.erase(far);
     } else {
-        batch.swap(deliveryRing_[when & deliveryRingMask]);
+        std::swap(batch, deliveryRing_[when & deliveryRingMask]);
     }
     assert(!batch.empty());
     if (holders_)
         deliverBatch<true>(batch);
     else
         deliverBatch<false>(batch);
-    batch.clear();
-    batchPool_.push_back(std::move(batch));
 }
 
 template <bool SkipIgnored>
 void
-Network::deliverBatch(const std::vector<Delivery> &batch)
+Network::deliverBatch(Batch &batch)
 {
     // The holders of the transient request last looked up. Copies of
     // one message landing on one tick mostly sit next to each other in
@@ -182,41 +178,47 @@ Network::deliverBatch(const std::vector<Delivery> &batch)
     const std::uint64_t *memoMask = nullptr;
     NodeId memoHome = invalidNode;
     const bool tracing = logging::enabled(logging::Level::trace);
-    for (const Delivery &d : batch) {
-        ++stats_.deliveries;
-        // Deliver straight out of the pool: the deque keeps the slot
-        // address stable even if the handler's own sends grow it, and
-        // our reference keeps the slot alive until after deliver().
-        Message &msg = slotRef(d.slot).msg;
-        msg.dest = d.dest;
-        stats_.latency.add(
-            static_cast<double>(eq_.curTick() - msg.sentAt));
-        if (tracing) {
-            logging::write(logging::Level::trace, eq_.curTick(), "net",
-                           "deliver " + msg.toString());
-        }
-        if constexpr (SkipIgnored) {
-            if (msg.isBroadcast && (msg.type == MsgType::getS ||
-                                    msg.type == MsgType::getM)) {
-                if (d.slot != memoSlot ||
-                    holders_->generation() != memoGeneration) {
-                    memoSlot = d.slot;
-                    memoGeneration = holders_->generation();
-                    memoMask = holders_->mask(msg.addr);
-                    memoHome = holders_->home(msg.addr);
-                }
-                if (d.dest != memoHome &&
-                    !TokenHolderSet::test(memoMask, d.dest)) {
-                    assert(holders_->cache(d.dest)->tokensHeld(
-                               msg.addr) == 0 &&
-                           "skipped a transient request to a holder");
-                    slotRelease(d.slot);
-                    continue;
+    while (!batch.empty()) {
+        const std::uint32_t n = batch.size(batch.head);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const Delivery &d = *batch.head->at(i);
+            ++stats_.deliveries;
+            // Deliver straight out of the pool: chunks keep the slot
+            // address stable even if the handler's own sends grow it,
+            // and our reference keeps the slot alive until after
+            // deliver().
+            Message &msg = slotRef(d.slot).msg;
+            msg.dest = d.dest;
+            stats_.latency.add(
+                static_cast<double>(eq_.curTick() - msg.sentAt));
+            if (tracing) {
+                logging::write(logging::Level::trace, eq_.curTick(), "net",
+                               "deliver " + msg.toString());
+            }
+            if constexpr (SkipIgnored) {
+                if (msg.isBroadcast && (msg.type == MsgType::getS ||
+                                        msg.type == MsgType::getM)) {
+                    if (d.slot != memoSlot ||
+                        holders_->generation() != memoGeneration) {
+                        memoSlot = d.slot;
+                        memoGeneration = holders_->generation();
+                        memoMask = holders_->mask(msg.addr);
+                        memoHome = holders_->home(msg.addr);
+                    }
+                    if (d.dest != memoHome &&
+                        !TokenHolderSet::test(memoMask, d.dest)) {
+                        assert(holders_->cache(d.dest)->tokensHeld(
+                                   msg.addr) == 0 &&
+                               "skipped a transient request to a holder");
+                        slotRelease(d.slot);
+                        continue;
+                    }
                 }
             }
+            endpoints_[d.dest]->deliver(msg);
+            slotRelease(d.slot);
         }
-        endpoints_[d.dest]->deliver(msg);
-        slotRelease(d.slot);
+        deliveryPool_.popChunk(batch);
     }
 }
 

@@ -68,13 +68,14 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "mem/block_map.hh"
 #include "net/message.hh"
 #include "net/topology.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
+#include "sim/tick_fifo.hh"
 #include "sim/types.hh"
 
 namespace tokensim {
@@ -232,9 +233,9 @@ class Network
      * Return to the just-constructed state with (possibly different)
      * link parameters @p params — clock-zero link occupancy, zeroed
      * traffic stats and ordering sequence, an empty transit pool —
-     * while keeping all grown pool/batch storage. The reusable-System
-     * path calls this between runs. Throws like the constructor on
-     * invalid @p params.
+     * while keeping all grown pool, chunk and far-map storage. The
+     * reusable-System path calls this between runs. Throws like the
+     * constructor on invalid @p params.
      */
     void reset(const NetworkParams &params);
 
@@ -312,11 +313,13 @@ class Network
      * the same tick are batched: the first one schedules a single
      * flush event and later ones just append to its batch, so a
      * broadcast fanning out to N nodes in one cycle costs one event
-     * instead of N.
+     * instead of N. See deliveryRing_ for when one tick gets two
+     * batches.
      */
     void scheduleDelivery(NodeId dest, std::uint32_t slot, Tick when);
 
-    /** Deliver every message batched for tick @p when, in order. */
+    /** Deliver every message of the oldest open batch for tick
+     *  @p when, in order. */
     void flushDeliveries(Tick when);
 
     /**
@@ -363,10 +366,16 @@ class Network
         std::uint32_t slot;
     };
 
-    /** The delivery loop of flushDeliveries; @p SkipIgnored drops
-     *  the copies holders_ shows would be ignored. */
+    /** Batches are FIFOs of 32-delivery (256-byte) chunks drawn from
+     *  one recycled pool (sim/tick_fifo.hh). */
+    using DeliveryPool = TickFifoPool<Delivery, 32>;
+    using Batch = DeliveryPool::List;
+
+    /** The delivery loop of flushDeliveries: delivers @p batch and
+     *  returns its chunks as it goes; @p SkipIgnored drops the copies
+     *  holders_ shows would be ignored. */
     template <bool SkipIgnored>
-    void deliverBatch(const std::vector<Delivery> &batch);
+    void deliverBatch(Batch &batch);
 
     EventQueue &eq_;
     std::unique_ptr<Topology> topo_;
@@ -391,16 +400,29 @@ class Network
      * Same-tick delivery batches. Nearly every delivery lands within
      * deliveryRingSize ticks of "now", so batches live in a
      * direct-indexed calendar ring (no hashing on the per-message
-     * path); the rare contention-delayed stragglers fall back to the
-     * far map. Slot aliasing is impossible: a batch at tick T is
-     * flushed during tick T, and a later tick mapping to the same
-     * slot is at distance >= deliveryRingSize, which routes to the
-     * far map.
+     * path); the rare contention-delayed stragglers go to the far
+     * map, keyed by tick (a tick is never one of BlockMap's two
+     * all-ones sentinel keys). Slot aliasing is impossible: a batch at
+     * tick T is flushed during tick T, and a later tick mapping to the
+     * same slot is at distance >= deliveryRingSize, which routes to
+     * the far map. A flush detaches its whole batch first, so a
+     * handler's delivery for the tick being flushed opens a new batch
+     * with its own flush event.
+     *
+     * The horizon is part of the model, not just a storage choice. A
+     * far batch is opened while its tick T lies beyond the horizon;
+     * once T comes within the horizon, a later delivery for T opens a
+     * separate ring batch with a flush event of its own. The two flush
+     * in the order they were opened (far first, since every far entry
+     * for T predates every ring entry), and events scheduled for T in
+     * between run between them. Changing deliveryRingSize moves that
+     * split: a delivery's tick stays the same, but the number of flush
+     * events (events_dispatched) and the order of same-tick work
+     * change, and with them the registries.
      */
-    std::vector<std::vector<Delivery>> deliveryRing_;
-    std::unordered_map<Tick, std::vector<Delivery>> farDeliveries_;
-    /** Retired batch vectors, recycled to keep their capacity. */
-    std::vector<std::vector<Delivery>> batchPool_;
+    DeliveryPool deliveryPool_;
+    std::vector<Batch> deliveryRing_;
+    BlockMap<Batch> farDeliveries_;
     /** Per-node multicast destination flags (all zero between
      *  sends). */
     std::vector<std::uint8_t> wanted_;

@@ -24,26 +24,29 @@
  *
  * ## The pool design (allocation-free steady state)
  *
- * The queue is a calendar-style bucket ring rather than a binary heap:
- * the next `windowSize` ticks map one-to-one onto an array of buckets
- * (append = O(1), no comparator, no per-event heap churn), with a bitmap
- * over the buckets so finding the next occupied tick is a handful of
- * count-trailing-zero scans. The bucket vectors are the event arena:
- * they are cleared after draining but never shrunk, so once the ring has
- * warmed up, scheduling is a placement-construct into recycled storage
- * and dispatch frees nothing — the steady-state loop performs zero heap
- * allocations (tests/test_sim.cc proves this with a counting
+ * The queue is a calendar-style ring rather than a binary heap: the
+ * next `windowSize` ticks map one-to-one onto an array of per-tick
+ * FIFOs (append = O(1), no comparator), with a bitmap over the slots so
+ * finding the next occupied tick is a handful of count-trailing-zero
+ * scans. Each FIFO is a list of 16-event chunks drawn from one
+ * recycled chunk pool (sim/tick_fifo.hh): scheduling placement-
+ * constructs the event into its tick's tail chunk, dispatch runs the
+ * events in place, and a drained chunk goes straight back to the pool
+ * for the next tick to write into. The ring's storage therefore
+ * follows the events pending now, not every slot's all-time peak, and
+ * once the pool has warmed up the steady-state loop performs zero heap
+ * allocations (tests/test_sim.cc proves both with a counting
  * operator new). Events beyond the ring's horizon wait in a small
  * overflow heap (a capacity-retaining vector managed with push_heap/
- * pop_heap) and migrate into the ring as the clock advances — migration
- * happens eagerly on every clock advance, before any new events can be
- * scheduled, which preserves the global same-tick FIFO order across the
- * horizon boundary.
+ * pop_heap) and migrate into the ring as the clock advances —
+ * migration happens eagerly on every clock advance, before any new
+ * events can be scheduled, which preserves the global same-tick FIFO
+ * order across the horizon boundary.
  *
  * ## Timers (cancellable, reschedulable)
  *
- * Plain scheduled events cannot be cancelled — the bucket arena hands
- * out no stable handles. Components that need an abandonable deadline
+ * Plain scheduled events cannot be cancelled — the ring hands out no
+ * stable handles. Components that need an abandonable deadline
  * (reissue timeouts, the arbiter's delayed broadcasts) hold an
  * EventQueue::Timer: a handle onto a slot-stable pooled timer record.
  * Arming stores the callback in the pool slot and schedules a small
@@ -71,6 +74,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/tick_fifo.hh"
 #include "sim/types.hh"
 
 namespace tokensim {
@@ -206,9 +210,10 @@ using EventFn = Event;
 class EventQueue
 {
   public:
-    EventQueue()
-        : buckets_(windowSize), occupied_(windowSize / 64, 0)
-    {}
+    EventQueue() : ring_(windowSize), occupied_(windowSize / 64, 0) {}
+
+    /** Destroys the pending events (releasing their captures). */
+    ~EventQueue() { dropRing(); }
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -220,8 +225,8 @@ class EventQueue
      * Schedule an event at an absolute tick.
      *
      * A template so the caller's closure is placement-constructed
-     * directly into the bucket's Event slot — no intermediate Event
-     * copy on the hottest call in the simulator.
+     * directly into its tick's FIFO — no intermediate Event copy on
+     * the hottest call in the simulator.
      *
      * @param when absolute tick; must not be in the past.
      * @param fn callback to run (anything an Event can hold).
@@ -235,14 +240,7 @@ class EventQueue
             when = curTick_;
         if (when - curTick_ < windowSize) {
             const std::size_t slot = when & windowMask;
-            auto &bucket = buckets_[slot];
-            if (bucket.capacity() == bucket.size()) {
-                // Skip the 1->2->4 growth crawl: events are two cache
-                // lines each, so tiny reallocations are all copy.
-                bucket.reserve(bucket.empty() ? 4
-                                              : 2 * bucket.size());
-            }
-            bucket.emplace_back(std::forward<F>(fn));
+            pool_.push(ring_[slot], std::forward<F>(fn));
             occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
             ++ringCount_;
         } else {
@@ -293,16 +291,14 @@ class EventQueue
 
     /**
      * Return to the just-constructed state (time zero, no events, no
-     * counters) while KEEPING the grown bucket/overflow storage — the
-     * reusable-System path resets the queue between runs so the next
-     * run starts allocation-free.
+     * counters) while KEEPING the grown chunk pool and overflow
+     * storage — the reusable-System path resets the queue between runs
+     * so the next run starts allocation-free.
      */
     void
     reset()
     {
-        for (auto &b : buckets_)
-            b.clear();
-        drain_.clear();
+        dropRing();
         std::fill(occupied_.begin(), occupied_.end(), 0);
         overflow_.clear();
         ringCount_ = 0;
@@ -362,45 +358,27 @@ class EventQueue
             }
             advanceTo(next);
 
-            auto &bucket = buckets_[curTick_ & windowMask];
-            // Swap the bucket's events into the drain buffer and run
-            // them IN PLACE (no per-event move): handlers appending
-            // same-tick events refill `bucket`, which the outer loop
-            // then drains — the same global FIFO order as appending
-            // to a live bucket.
-            while (!bucket.empty()) {
-                drain_.swap(bucket);
-                const std::size_t n = drain_.size();
-                ringCount_ -= n;
-                {
-                    const std::size_t slot = curTick_ & windowMask;
-                    occupied_[slot >> 6] &=
-                        ~(std::uint64_t{1} << (slot & 63));
-                }
-                std::size_t i = 0;
-                try {
-                    for (; i < n; ++i) {
-                        ++executed_;
-                        drain_[i].runAndDispose();
-                        if (pred()) {
-                            ++i;
-                            requeueSuffix(bucket, i);
-                            return true;
-                        }
+            // Run the tick's events in place, oldest first. A handler
+            // scheduling into this tick appends behind the read
+            // position, so its event runs later in this same loop —
+            // the global same-tick FIFO order.
+            const std::size_t slot = curTick_ & windowMask;
+            EventFifo &fifo = ring_[slot];
+            try {
+                while (settle(fifo, slot)) {
+                    Event &e = *fifo.head->at(readPos_++);
+                    --ringCount_;
+                    ++executed_;
+                    e.runAndDispose();
+                    if (pred()) {
+                        settle(fifo, slot);
+                        return true;
                     }
-                } catch (...) {
-                    requeueSuffix(bucket, i + 1);
-                    throw;
                 }
-                drain_.clear();
+            } catch (...) {
+                settle(fifo, slot);
+                throw;
             }
-            // Hand the slot back its own (largest) buffer so bucket
-            // capacities stay put across reuse instead of rotating
-            // through the drain buffer — that rotation would cause
-            // steady-state reallocations whenever a big bucket
-            // inherited a small buffer.
-            if (drain_.capacity() > bucket.capacity())
-                drain_.swap(bucket);
         }
         return false;
     }
@@ -573,10 +551,14 @@ class EventQueue
     };
 
   private:
-    /** Ring horizon: how far ahead the bucket array reaches. */
+    /** Ring horizon: how far ahead the FIFO array reaches. */
     static constexpr std::size_t windowBits = 12;
     static constexpr std::size_t windowSize = std::size_t{1} << windowBits;
     static constexpr std::size_t windowMask = windowSize - 1;
+
+    /** The ring's chunk pool: 16 events (2 KB) per chunk. */
+    using EventPool = TickFifoPool<Event, 16>;
+    using EventFifo = EventPool::List;
 
     /** An event beyond the ring horizon, ordered by (when, seq). */
     struct FarEntry
@@ -633,7 +615,7 @@ class EventQueue
      * Advance the clock and immediately migrate every overflow event
      * that the new window now covers. Doing this on every advance —
      * before any handler can schedule — keeps same-tick FIFO exact
-     * across the horizon: a ring bucket only ever receives entries in
+     * across the horizon: a ring FIFO only ever receives entries in
      * global scheduling order.
      */
     void
@@ -647,7 +629,7 @@ class EventQueue
                           FarEntry::Later{});
             FarEntry &e = overflow_.back();
             const std::size_t slot = e.when & windowMask;
-            buckets_[slot].push_back(std::move(e.fn));
+            pool_.push(ring_[slot], std::move(e.fn));
             occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
             ++ringCount_;
             overflow_.pop_back();
@@ -655,29 +637,37 @@ class EventQueue
     }
 
     /**
-     * The drain stopped early (predicate satisfied or a handler
-     * threw): the unexecuted suffix drain_[from..] must run before
-     * any same-tick events handlers appended to @p bucket, so splice
-     * it back to the bucket's front and fix the ring accounting.
+     * Return the fully read chunks at the front of @p fifo, the
+     * current tick's FIFO, to the pool. True if an unread event
+     * remains; otherwise the FIFO is left empty, its occupancy bit
+     * cleared and the read position rewound, so the clock may move on.
+     * The drain calls this before every event and when it stops early
+     * (predicate satisfied or a handler threw), which keeps the read
+     * position pointing at the next unrun event across a resume.
      */
-    void
-    requeueSuffix(std::vector<Event> &bucket, std::size_t from)
+    bool
+    settle(EventFifo &fifo, std::size_t slot) noexcept
     {
-        const std::size_t left = drain_.size() - from;
-        if (left != 0) {
-            bucket.insert(
-                bucket.begin(),
-                std::make_move_iterator(
-                    drain_.begin() +
-                    static_cast<std::ptrdiff_t>(from)),
-                std::make_move_iterator(drain_.end()));
-            ringCount_ += left;
+        while (readPos_ == fifo.size(fifo.head)) {
+            const bool last = fifo.head == fifo.tail;
+            pool_.popChunk(fifo);
+            readPos_ = 0;
+            if (last) {
+                occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+                return false;
+            }
         }
-        if (!bucket.empty()) {
-            const std::size_t slot = curTick_ & windowMask;
-            occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-        }
-        drain_.clear();
+        return true;
+    }
+
+    /** Destroy every event in the ring (run ones are already empty)
+     *  and return all chunks to the pool. */
+    void
+    dropRing() noexcept
+    {
+        for (EventFifo &fifo : ring_)
+            pool_.clear(fifo);
+        readPos_ = 0;
     }
 
     // ---- Timer pool -----------------------------------------------
@@ -764,11 +754,12 @@ class EventQueue
         fn.runAndDispose();
     }
 
-    std::vector<std::vector<Event>> buckets_;
-    /** Scratch the dispatch loop drains a bucket into (swap target;
-     *  retains the high-water capacity across ticks). */
-    std::vector<Event> drain_;
+    EventPool pool_;
+    /** One FIFO per tick of the window, indexed by tick & windowMask. */
+    std::vector<EventFifo> ring_;
     std::vector<std::uint64_t> occupied_;
+    /** Read position in the head chunk of the current tick's FIFO. */
+    std::uint32_t readPos_ = 0;
     std::size_t ringCount_ = 0;
     /** Min-heap (via push_heap/pop_heap) of beyond-horizon events;
      *  a plain vector so capacity survives reset(). */

@@ -1,10 +1,11 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering, time
- * conversions, the deterministic RNG, the statistics utilities, and
- * the allocation-freedom of the Event record / bucket-ring steady
- * state and of network multicast (enforced with a counting global
- * operator new).
+ * conversions, the deterministic RNG, the statistics utilities, the
+ * allocation-freedom of the Event record / calendar-ring steady state,
+ * of network multicast and of BlockMap churn, and the ring's storage
+ * following pending events (enforced with a counting global operator
+ * new).
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +17,10 @@
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "mem/block_map.hh"
 #include "net/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
@@ -33,11 +36,19 @@ namespace {
 
 /** Global allocation counter for the no-alloc steady-state tests. */
 std::atomic<std::uint64_t> gAllocCount{0};
+/** Bytes requested from operator new, for the storage-bound tests. */
+std::atomic<std::uint64_t> gAllocBytes{0};
 
 std::uint64_t
 allocCount()
 {
     return gAllocCount.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+allocBytes()
+{
+    return gAllocBytes.load(std::memory_order_relaxed);
 }
 
 } // namespace
@@ -46,6 +57,7 @@ void *
 operator new(std::size_t n)
 {
     gAllocCount.fetch_add(1, std::memory_order_relaxed);
+    gAllocBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -122,7 +134,7 @@ TEST(EventRecord, SteadyStateSchedulingIsAllocationFree)
     };
     // Reset between rounds like the reusable-System path does, so
     // every round schedules into the same ring slots.
-    round();   // warm the ring buckets, drain buffer, overflow heap
+    round();   // warm the chunk pool and the overflow heap
     eq.reset();
     round();
     eq.reset();
@@ -132,6 +144,34 @@ TEST(EventRecord, SteadyStateSchedulingIsAllocationFree)
     round();
     EXPECT_EQ(allocCount(), before)
         << "event scheduling/dispatch allocated on a warmed queue";
+}
+
+TEST(EventQueue, StorageFollowsPendingEventsNotSlotPeaks)
+{
+    // A 64-event burst walks through every one of the ring's 4096 tick
+    // slots in turn, with only three bursts pending at once. The chunks
+    // one tick drains are reused by the next, so the queue's heap
+    // bytes stay a small multiple of the peak pending events; storage
+    // kept per slot would retain 4096 x 64 x 128 B = 32 MB.
+    constexpr Tick ticks = 4096;
+    constexpr Tick lead = 3;
+    constexpr int burst = 64;
+    EventQueue eq;
+    std::uint64_t ran = 0;
+    std::size_t peak = 0;
+    const std::uint64_t before = allocBytes();
+    for (Tick t = 0; t < ticks; ++t) {
+        for (int i = 0; i < burst; ++i)
+            eq.schedule(t + lead, [&ran]() { ++ran; });
+        peak = std::max(peak, eq.pending());
+        eq.run(t + 1);
+    }
+    EXPECT_TRUE(eq.run());
+    const std::uint64_t bytes = allocBytes() - before;
+    EXPECT_EQ(ran, ticks * burst);
+    EXPECT_EQ(peak, lead * burst);
+    EXPECT_LE(bytes, 4 * peak * sizeof(Event))
+        << "the ring kept storage for drained ticks";
 }
 
 TEST(EventQueue, ResetRestoresFreshStateKeepingStorage)
@@ -647,9 +687,9 @@ class NullEndpoint : public NetworkEndpoint
 TEST(NetworkAlloc, SteadyStateMulticastIsAllocationFree)
 {
     // TokenM-style multicast bursts to varying destination sets: once
-    // the transit pool, delivery batches and event ring are warm, the
-    // pruned tree walk (marks in the transit slot, (slot, edge)
-    // fan-out closures) must not allocate.
+    // the transit pool, delivery chunks, far map and event ring are
+    // warm, the pruned tree walk (marks in the transit slot, (slot,
+    // edge) fan-out closures) must not allocate.
     EventQueue eq;
     Network net(eq, std::unique_ptr<Topology>(makeTopology("torus", 64)));
     std::vector<NullEndpoint> eps(64);
@@ -661,23 +701,36 @@ TEST(NetworkAlloc, SteadyStateMulticastIsAllocationFree)
     for (NodeId i = 0; i < 64; ++i)
         all.push_back(i);
     sets.push_back(all);
-    auto burst = [&]() {
-        for (NodeId src = 0; src < 64; ++src) {
-            for (const auto &dests : sets) {
-                Message m;
-                m.type = MsgType::getS;
-                m.cls = MsgClass::request;
-                m.src = src;
-                m.addr = 0x40 * (src + 1);
-                net.multicast(m, dests);
-            }
-            // One source's burst at a time keeps deliveries within the
-            // delivery ring's horizon (the rare far-horizon straggler
-            // map allocates by design).
-            eq.run();
+    auto send = [&](NodeId src, bool data) {
+        for (const auto &dests : sets) {
+            Message m;
+            m.type = data ? MsgType::data : MsgType::getS;
+            m.cls = data ? MsgClass::data : MsgClass::request;
+            m.hasData = data;
+            m.src = src;
+            m.addr = 0x40 * (src + 1);
+            net.multicast(m, dests);
         }
     };
-    burst();   // warm the slot pool, mark storage, batches and ring
+    auto burst = [&]() {
+        // One source's burst at a time: every delivery stays within
+        // the delivery ring's horizon.
+        for (NodeId src = 0; src < 64; ++src) {
+            send(src, false);
+            eq.run();
+        }
+        // Every source at once, 20 rounds of data: the later rounds'
+        // copies queue behind up to 19 x 225 ticks of serialization
+        // on the sources' own links, past the 4096-tick horizon, so
+        // their batches go through the far map.
+        for (int round = 0; round < 20; ++round) {
+            for (NodeId src = 0; src < 64; ++src)
+                send(src, true);
+        }
+        eq.run();
+    };
+    burst();   // warm the slot pool, mark storage, chunks and far map
+    EXPECT_GT(net.traffic().latency.max(), 4096.0);
     net.reset(NetworkParams{});
     eq.reset();
     burst();
@@ -691,6 +744,100 @@ TEST(NetworkAlloc, SteadyStateMulticastIsAllocationFree)
     EXPECT_EQ(allocCount(), before)
         << "multicast allocated on a warmed network";
     EXPECT_GT(eps[17].delivered, 0u);
+}
+
+TEST(BlockMapAlloc, TombstoneChurnIsAllocationFreeOnceWarm)
+{
+    // The far delivery map's pattern: keys inserted ahead and erased
+    // as they pass, 100 live at a time. Every erase leaves a
+    // tombstone, so the table keeps rehashing at its own size; once
+    // it has done so, later rehashes reuse its storage.
+    BlockMap<std::uint64_t> m;
+    Addr next = 0;
+    auto churn = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            m[next] = next * 3;
+            if (next >= 100)
+                m.erase(next - 100);
+            ++next;
+        }
+    };
+    churn(10000);
+    const std::uint64_t before = allocCount();
+    churn(10000);
+    EXPECT_EQ(allocCount(), before)
+        << "a warm BlockMap allocated under insert/erase churn";
+    EXPECT_EQ(m.size(), 100u);
+    for (Addr k = next - 100; k < next; ++k) {
+        auto it = m.find(k);
+        ASSERT_NE(it, m.end());
+        EXPECT_EQ(it->second, k * 3);
+    }
+    EXPECT_EQ(m.count(next - 101), 0u);
+}
+
+/** Records (node, tick) for each delivery into a shared log. */
+class RecordingEndpoint : public NetworkEndpoint
+{
+  public:
+    RecordingEndpoint(const EventQueue &eq,
+                      std::vector<std::pair<int, Tick>> &log, int node)
+        : eq_(eq), log_(log), node_(node)
+    {}
+
+    void
+    deliver(const Message &) override
+    {
+        log_.emplace_back(node_, eq_.curTick());
+    }
+
+  private:
+    const EventQueue &eq_;
+    std::vector<std::pair<int, Tick>> &log_;
+    int node_;
+};
+
+TEST(NetworkBatches, FarBatchFlushesApartFromLaterSameTickBatch)
+{
+    // The delivery ring's horizon is part of the model: a batch opened
+    // while its tick T lies beyond the horizon flushes in its own
+    // event, before the separate batch a later delivery for T opens
+    // once T is within the horizon, and an event scheduled for T
+    // between the two sends runs between the two flushes.
+    NetworkParams params;
+    params.unlimitedBandwidth = true;   // arrival = sum of link latencies
+    params.linkLatency = 100;
+    params.localDelay = 5000;           // beyond the 4096-tick horizon
+    const Tick when = params.localDelay;
+    EventQueue eq;
+    Network net(eq, std::unique_ptr<Topology>(makeTopology("torus", 16)),
+                params);
+    std::vector<std::pair<int, Tick>> log;
+    std::vector<std::unique_ptr<RecordingEndpoint>> eps;
+    for (NodeId i = 0; i < 16; ++i) {
+        eps.push_back(std::make_unique<RecordingEndpoint>(
+            eq, log, static_cast<int>(i)));
+        net.attach(i, eps.back().get());
+    }
+    Message m;
+    m.type = MsgType::getS;
+    m.cls = MsgClass::request;
+    m.src = 0;
+    m.dest = 0;
+    m.addr = 0x40;
+    net.unicast(m);   // to itself: lands at `when`, beyond the horizon
+    eq.schedule(when, [&]() { log.emplace_back(-1, eq.curTick()); });
+    const Tick hops = static_cast<Tick>(net.topology().hops(0, 1));
+    eq.schedule(when - hops * params.linkLatency, [&]() {
+        Message r = m;
+        r.dest = 1;
+        net.unicast(r);   // lands at `when`, now within the horizon
+    });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(log, (std::vector<std::pair<int, Tick>>{
+                       {0, when}, {-1, when}, {1, when}}));
+    // Two flushes, the marker and the second sender.
+    EXPECT_EQ(eq.executed(), 4u);
 }
 
 TEST(Rng, Deterministic)
