@@ -15,8 +15,8 @@
  *    lower latency and no root bottleneck;
  *  - traffic per miss is approximately equal for both on the tree.
  *
- * Set TOKENSIM_WORKERS=N to shard the sweep across N worker processes
- * (DistRunner) instead of threads; the figure is bit-identical.
+ * The sweep runs on TOKENSIM_THREADS threads (default: all cores);
+ * the figure is bit-identical at any count.
  */
 
 #include <cstdio>

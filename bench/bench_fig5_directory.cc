@@ -16,8 +16,8 @@
  *  - traffic: Hammer uses 79-90% more than TokenB; Directory uses
  *    21-25% less than TokenB.
  *
- * Set TOKENSIM_WORKERS=N to shard the sweep across N worker processes
- * (DistRunner) instead of threads; the figure is bit-identical.
+ * The sweep runs on TOKENSIM_THREADS threads (default: all cores);
+ * the figure is bit-identical at any count.
  */
 
 #include <cstdio>

@@ -13,8 +13,8 @@
  * sharing microbenchmark and reports bytes per miss for TokenB,
  * Directory, and Hammer, plus the TokenB/Directory ratio.
  *
- * Set TOKENSIM_WORKERS=N to shard the sweep across N worker processes
- * (DistRunner) instead of threads; the figure is bit-identical.
+ * The sweep runs on TOKENSIM_THREADS threads (default: all cores);
+ * the figure is bit-identical at any count.
  */
 
 #include <cstdio>

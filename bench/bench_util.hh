@@ -8,10 +8,10 @@
  *   TOKENSIM_BENCH_OPS    operations per processor (default 6000)
  *   TOKENSIM_BENCH_SEEDS  seeds per design point   (default 2)
  *   TOKENSIM_THREADS      ParallelRunner threads   (default all cores)
- *   TOKENSIM_WORKERS      when set >= 1, shard the sweep across that
- *                         many worker *processes* (DistRunner) instead
- *                         of threads — results are bit-identical
- *                         either way (the dist ctest gate enforces it)
+ *
+ * Figures are bit-identical at any thread count; sweep_tool's
+ * --workers runs the same specs on forked processes, equally
+ * identical (the determinism ctest gates enforce both).
  *
  * A malformed knob (TOKENSIM_BENCH_OPS=abc) exits with status 2 and a
  * message naming it, instead of running a silently wrong size.
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "harness/argparse.hh"
-#include "harness/dist_runner.hh"
 #include "harness/experiment.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/system.hh"
@@ -110,23 +109,15 @@ struct Row
 };
 
 /**
- * Run a whole figure's design points in one invocation: across worker
- * processes (DistRunner) when TOKENSIM_WORKERS is set, else across
- * threads (ParallelRunner, thread count from TOKENSIM_THREADS).
- * Results come back in spec order, bit-identical to running each spec
- * serially with runExperiment() — the runner choice is pure
- * performance policy and can never change a figure.
+ * Run a whole figure's design points in one invocation across threads
+ * (ParallelRunner, thread count from TOKENSIM_THREADS). Results come
+ * back in spec order, bit-identical to running each spec serially
+ * with runExperiment() — the thread count is pure performance policy
+ * and can never change a figure.
  */
 inline std::vector<ExperimentResult>
 runAll(const std::vector<ExperimentSpec> &specs)
 {
-    const int workers =
-        envKnob([] { return envInt("TOKENSIM_WORKERS", 0, 0); });
-    if (workers >= 1) {
-        DistRunnerOptions opts;
-        opts.workers = workers;
-        return DistRunner(std::move(opts)).run(specs);
-    }
     // ParallelRunner reads TOKENSIM_THREADS when it is constructed.
     const ParallelRunner threads =
         envKnob([] { return ParallelRunner(); });

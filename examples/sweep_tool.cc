@@ -1,25 +1,18 @@
 /**
  * @file
- * Process-sharded sweep CLI: run a protocol x workload experiment
- * matrix through the DistRunner (or in-process runners, for
- * comparison), and serve as the worker subprocess the DistRunner
- * shards onto.
+ * Sweep CLI: run a protocol x workload experiment matrix through the
+ * ParallelRunner — on threads, or on forked worker processes — or
+ * through the serial oracle loop, for comparison.
  *
  *   $ ./sweep_tool run [options]
- *   $ ./sweep_tool worker
  *
  * `run` prints exactly one machine-parseable line per design point on
  * stdout — `<label> <resultDigest()>` in spec order — so piping or
  * diffing sweep outputs works unconditionally; all progress, partial
  * aggregates, and the --stats summary go to stderr. Because every
- * runner is bit-identical, `diff <(sweep_tool run --serial ...)
- * <(TOKENSIM_WORKERS=8 sweep_tool run ...)` must always be empty —
- * CI's multi-process smoke step enforces exactly that.
- *
- * `worker` takes no options: it speaks the harness/wire.hh frame
- * protocol on stdin/stdout (hello, then one result or error frame per
- * job frame) until EOF. `run --workers N` execs it N times over pipe
- * pairs (DistRunnerOptions::workerArgv).
+ * executor is bit-identical, `diff <(sweep_tool run --serial ...)
+ * <(sweep_tool run --workers 8 ...)` must always be empty — CI's
+ * multi-process smoke step enforces exactly that.
  *
  * Options (run):
  *   --protocols a,b,c  comma list (default tokenb,snooping)
@@ -52,18 +45,17 @@
  *                      typed error before the sweep starts
  *   --seeds N          seeds per design point (default 2)
  *   --seed S           base seed (default 1)
- *   --workers N        worker subprocesses (default:
- *                      TOKENSIM_WORKERS, else 0 = in-process
- *                      ParallelRunner)
- *   --threads N        ParallelRunner threads when workers = 0
+ *   --workers N        forked worker processes (default 0 = run on
+ *                      threads)
+ *   --threads N        worker threads when workers = 0 (default:
+ *                      TOKENSIM_THREADS, else all cores)
  *   --serial           serial runExperiment loop (the oracle)
- *   --fork-workers     fork-only workers instead of exec'ing self
  *   --checkpoint PATH  crash-safe checkpoint: append each completed
  *                      shard to PATH; rerunning the same sweep with
  *                      the same PATH resumes instead of recomputing
- *                      (requires --workers >= 1)
+ *                      (threads or workers, not --serial)
  *   --retries N        max reassignments of one shard after worker
- *                      failures (default 2)
+ *                      deaths (default 2)
  *   --shard-timeout MS per-shard hang deadline in ms; 0 = auto (10x
  *                      the slowest completed shard of the same
  *                      design point, >= 10 s), -1 = off (default 0)
@@ -83,10 +75,7 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "harness/argparse.hh"
-#include "harness/dist_runner.hh"
 #include "harness/experiment.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/snapshot.hh"
@@ -151,10 +140,9 @@ struct Options
     std::string snapshot;   // --snapshot PATH (empty: no snapshot)
     int seeds = 2;
     std::uint64_t seed = 1;
-    int workers = 0;        // default: TOKENSIM_WORKERS, else 0
+    int workers = 0;        // 0: run on threads
     int threads = 0;
     bool serial = false;
-    bool forkWorkers = false;
     std::string checkpoint;
     int retries = 2;
     long shardTimeoutMs = 0;
@@ -172,8 +160,6 @@ printHelp(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s run [options]\n"
-        "       %s worker    (serve job frames on stdin/stdout; "
-        "takes no options)\n"
         "\n"
         "run options:\n"
         "  --protocols a,b,c   comma list (default tokenb,snooping)\n"
@@ -209,20 +195,18 @@ printHelp(const char *argv0)
         "                      typed errors up front)\n"
         "  --seeds N           seeds per design point (default %d)\n"
         "  --seed S            base seed (default %llu)\n"
-        "  --workers N         worker subprocesses (default: "
-        "TOKENSIM_WORKERS, else 0 =\n"
-        "                      in-process threads)\n"
-        "  --threads N         ParallelRunner threads when workers "
-        "= 0 (default: hardware)\n"
+        "  --workers N         forked worker processes (default 0 = "
+        "threads)\n"
+        "  --threads N         worker threads when workers = 0 "
+        "(default: TOKENSIM_THREADS,\n"
+        "                      else hardware)\n"
         "  --serial            serial oracle loop\n"
-        "  --fork-workers      fork-only workers instead of exec'ing "
-        "self\n"
         "  --checkpoint PATH   append completed shards to PATH; "
         "rerun with the same\n"
-        "                      PATH to resume after a crash "
-        "(requires --workers >= 1)\n"
+        "                      PATH to resume after a crash (not "
+        "with --serial)\n"
         "  --retries N         max reassignments of one shard after "
-        "worker failures (default %d)\n"
+        "worker deaths (default %d)\n"
         "  --shard-timeout MS  per-shard hang deadline; 0 = auto "
         "(10x slowest shard of\n"
         "                      that design point, >= 10 s), -1 = off "
@@ -231,7 +215,7 @@ printHelp(const char *argv0)
         "  --stats             summary table after the run (stderr)\n"
         "  --metrics           dump merged metric registries "
         "(stderr)\n",
-        argv0, argv0, d.nodes,
+        argv0, d.nodes,
         static_cast<unsigned long long>(d.ops),
         static_cast<unsigned long long>(d.warmup), d.seeds,
         static_cast<unsigned long long>(d.seed), d.retries,
@@ -310,7 +294,6 @@ Options
 parseOptions(int argc, char **argv, int first)
 {
     Options o;
-    o.workers = envInt("TOKENSIM_WORKERS", 0, 0);
     for (int i = first; i < argc; ++i) {
         const std::string a = argv[i];
         const auto value = [&]() -> std::string {
@@ -351,8 +334,6 @@ parseOptions(int argc, char **argv, int first)
             o.threads = parseInt(a, value(), 0);
         else if (a == "--serial")
             o.serial = true;
-        else if (a == "--fork-workers")
-            o.forkWorkers = true;
         else if (a == "--checkpoint")
             o.checkpoint = value();
         else if (a == "--retries")
@@ -471,19 +452,6 @@ dumpMetrics(const ExperimentResult &r)
     }
 }
 
-/** Path of this binary, for exec'ing ourselves as the worker. */
-std::string
-selfExe()
-{
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf,
-                                 sizeof(buf) - 1);
-    if (n <= 0)
-        return "";
-    buf[n] = '\0';
-    return buf;
-}
-
 /**
  * Resolve --snapshot: load PATH if it exists, else warm the first
  * design point once (fast-forward of --warmup ops) and write it.
@@ -557,10 +525,10 @@ runSweep(const Options &o)
     if (!o.snapshot.empty())
         attachSnapshot(o, specs);
 
-    if (!o.checkpoint.empty() && (o.serial || o.workers < 1)) {
+    if (!o.checkpoint.empty() && o.serial) {
         throw std::invalid_argument(
-            "--checkpoint requires --workers >= 1 (checkpointing "
-            "lives in the process-sharded runner)");
+            "--checkpoint does not apply to --serial (the oracle loop "
+            "keeps no shard grid); use --threads or --workers");
     }
 
     std::vector<ExperimentResult> results;
@@ -571,40 +539,29 @@ runSweep(const Options &o)
         for (const ExperimentSpec &s : specs)
             results.push_back(
                 runExperiment(s.cfg, s.seeds, s.label));
-    } else if (o.workers >= 1) {
-        DistRunnerOptions d;
-        d.workers = o.workers;
-        d.maxShardRetries = o.retries;
-        d.shardTimeoutMs = o.shardTimeoutMs;
-        d.checkpointPath = o.checkpoint;
-        if (!o.forkWorkers) {
-            const std::string self = selfExe();
-            if (!self.empty())
-                d.workerArgv = {self, "worker"};
-            // readlink failed (no /proc?): fall back to forked
-            // in-process workers — same protocol, same results.
-        }
+    } else {
+        ParallelRunnerOptions p;
+        p.processes = o.workers >= 1;
+        p.threads = p.processes ? o.workers : o.threads;
+        p.maxShardRetries = o.retries;
+        p.shardTimeoutMs = o.shardTimeoutMs;
+        p.checkpointPath = o.checkpoint;
         // Checkpoint and worker-lifecycle events (restore counts,
         // hang kills, respawns, degradation) are operationally
         // significant, so they print even without --progress; the
         // chatty per-shard lines stay opt-in.
         const bool verbose = o.progress;
-        d.progress = [verbose](const std::string &line) {
+        p.progress = [verbose](const std::string &line) {
             if (verbose || line.rfind("checkpoint", 0) == 0 ||
                 line.rfind("worker", 0) == 0)
                 std::fprintf(stderr, "sweep: %s\n", line.c_str());
         };
+        const ParallelRunner runner(std::move(p));
         std::fprintf(stderr,
                      "sweep: %zu design points x %d seeds across %d "
-                     "worker processes (%s)\n",
-                     specs.size(), o.seeds, d.workers,
-                     d.workerArgv.empty() ? "forked" : "exec'd");
-        results = DistRunner(std::move(d)).run(specs);
-    } else {
-        ParallelRunner runner(ParallelRunnerOptions{o.threads});
-        std::fprintf(stderr, "sweep: %zu design points x %d seeds "
-                             "across %d threads\n",
-                     specs.size(), o.seeds, runner.threads());
+                     "%s\n",
+                     specs.size(), o.seeds, runner.threads(),
+                     o.workers >= 1 ? "worker processes" : "threads");
         results = runner.run(specs);
     }
 
@@ -650,15 +607,6 @@ main(int argc, char **argv)
         if (mode == "--help" || mode == "-h" || mode == "help") {
             printHelp(argv[0]);
             return 0;
-        }
-        if (mode == "worker") {
-            if (argc > 2) {
-                throw std::invalid_argument(
-                    std::string("worker takes no options (it serves "
-                                "job frames on stdin/stdout), got ") +
-                    argv[2]);
-            }
-            return runDistWorker(0, 1);
         }
         if (mode == "run") {
             const Options o = parseOptions(argc, argv, 2);

@@ -171,8 +171,8 @@ struct SystemConfig
      * before running. The snapshot must have been saved from a config
      * with the same shape fingerprint (structure + workload + seed;
      * timing knobs are free). Shared so a sweep's many configs carry
-     * one copy in-process; the wire codec ships the bytes to
-     * DistRunner workers. Incompatible with recordTrace.
+     * one copy in-process; forked sweep workers inherit it, and
+     * the wire codec fingerprints it. Incompatible with recordTrace.
      */
     std::shared_ptr<const std::string> warmSnapshot;
 
@@ -324,9 +324,9 @@ class System
      * ("results v2") plus typed accessors for the common metrics.
      *
      * The registry is the single source of truth — the wire format
-     * ships it generically, aggregateResults / ParallelRunner /
-     * DistRunner merge it generically, and the determinism gates
-     * compare it wholesale. System::results() registers every metric
+     * ships it generically, aggregateResults and the ParallelRunner
+     * (either executor) merge it generically, and the determinism
+     * gates compare it wholesale. System::results() registers every metric
      * in one fixed order (see its definition for the full catalog),
      * so registry equality is meaningful across runners.
      *

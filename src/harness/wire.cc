@@ -425,7 +425,7 @@ tryExtractFrame(const std::string &buf, std::size_t &pos, Frame &out)
         return false;
     const auto type_byte =
         static_cast<std::uint8_t>(static_cast<unsigned char>(buf[pos]));
-    if (type_byte < static_cast<std::uint8_t>(FrameType::hello) ||
+    if (type_byte < static_cast<std::uint8_t>(FrameType::job) ||
         type_byte > static_cast<std::uint8_t>(FrameType::error)) {
         throw WireError("unknown frame type " +
                         std::to_string(type_byte));
@@ -461,55 +461,20 @@ tryExtractFrame(const std::string &buf, std::size_t &pos, Frame &out)
 }
 
 std::string
-encodeHelloPayload()
-{
-    WireWriter w;
-    w.raw(wireMagic, sizeof(wireMagic));
-    w.varint(wireVersion);
-    return w.take();
-}
-
-void
-checkHelloPayload(const std::string &payload)
-{
-    WireReader r(payload);
-    char magic[sizeof(wireMagic)];
-    r.raw(magic, sizeof(magic), "hello magic");
-    if (std::memcmp(magic, wireMagic, sizeof(wireMagic)) != 0)
-        throw WireError("bad magic (not a tokensim sweep worker)");
-    const std::uint64_t version = r.varint("hello version");
-    // Version before the end check: an older or newer layout may
-    // carry more fields, and "version mismatch" is the error the
-    // operator can act on.
-    if (version != wireVersion) {
-        throw WireError("version mismatch: worker speaks " +
-                        std::to_string(version) + ", parent speaks " +
-                        std::to_string(wireVersion));
-    }
-    r.expectEnd("hello");
-}
-
-std::string
-encodeJobPayload(std::uint64_t job_id, const SystemConfig &cfg,
-                 std::uint64_t seed)
+encodeJobPayload(std::uint64_t job_id)
 {
     WireWriter w;
     w.varint(job_id);
-    encodeSystemConfig(w, cfg);
-    w.varint(seed);
     return w.take();
 }
 
-JobFrame
+std::uint64_t
 decodeJobPayload(const std::string &payload)
 {
     WireReader r(payload);
-    JobFrame job;
-    job.jobId = r.varint("job id");
-    job.cfg = decodeSystemConfig(r);
-    job.seed = r.varint("job seed");
+    const std::uint64_t job_id = r.varint("job id");
     r.expectEnd("job frame");
-    return job;
+    return job_id;
 }
 
 std::string

@@ -1,10 +1,9 @@
 /**
  * @file
- * Sweep wire format: a compact versioned binary encoding for the
- * objects the process-sharded sweep runner ships between the parent
- * and its worker subprocesses — ExperimentSpec / SystemConfig /
- * WorkloadSpec going down, raw System::Results coming back — plus the
- * length-prefixed frame layer the pipe protocol is built from.
+ * Sweep wire format: a compact versioned binary encoding for
+ * ExperimentSpec / SystemConfig / WorkloadSpec and raw
+ * System::Results, the length-prefixed frame layer the sweep runner's
+ * forked workers answer on, and the on-disk checkpoint format.
  *
  * Same discipline as workload/trace.hh: little-endian throughout,
  * ULEB128 varints for counters, zigzag varints for signed ints,
@@ -23,25 +22,25 @@
  *   varint  payload length (capped at maxFramePayload)
  *   ...     payload bytes
  *
- * The conversation (harness/dist_runner.cc): the worker opens with a
- * `hello` frame (8-byte magic "TOKSWEEP" + varint version) so the
- * parent can reject a mismatched binary before shipping work; the
- * parent sends `job` frames (varint job id, SystemConfig, varint
- * seed); the worker answers each with a `result` frame (varint job
- * id, System::Results) or an `error` frame (varint job id, message
- * string) and exits cleanly at EOF on its input. DistRunner carries
- * the stream over one pipe pair per worker; the format itself only
- * needs a byte stream.
+ * The conversation (harness/parallel_runner.cc): the parent sends
+ * `job` frames (a varint shard index — a forked worker inherits the
+ * spec list, so nothing else needs shipping); the worker answers each
+ * with a `result` frame (varint job id, System::Results) or an
+ * `error` frame (varint job id, message string) and exits cleanly at
+ * EOF on its input. The stream runs over one pipe pair per worker;
+ * the format itself only needs a byte stream.
  *
- * Versioning: bump wireVersion whenever any encoded struct gains,
- * loses, or reorders a field. Struct payloads end with an
- * end-of-struct sentinel byte so a parent/worker skew inside one
- * version (a stale binary) is caught as a typed error instead of a
- * silent misparse.
+ * Versioning: both ends of a pipe are the same binary, so wireVersion
+ * now only guards checkpoints: it is stamped into every checkpoint
+ * header and hashed into the sweep fingerprint. Bump it whenever an
+ * encoded struct gains, loses, or reorders a field. Struct payloads
+ * end with an end-of-struct sentinel byte so a skew inside one
+ * version (a stale build's checkpoint) is caught as a typed error
+ * instead of a silent misparse.
  *
  * ## Checkpoint layer
  *
- * The same encoding doubles as DistRunner's crash-safe on-disk
+ * The same encoding doubles as the sweep runner's crash-safe on-disk
  * checkpoint (--checkpoint): a header naming the sweep (magic,
  * wireVersion, a fingerprint hashed over the encoded spec list) is
  * written once via write-then-atomic-rename, then one CRC-framed
@@ -82,11 +81,9 @@ namespace tokensim {
 //     knobs; SystemConfig gained the multi-tenant group list
 //     (per-tenant WorkloadSpec + node count).
 // v6: the hello payload dropped the worker name string (pipe workers
-//     are the parent's own children; nothing needs naming).
+//     are the parent's own children; nothing needs naming). The hello
+//     frame itself went later; checkpoints kept v6.
 constexpr std::uint32_t wireVersion = 6;
-
-/** Stream magic carried by the hello frame. */
-constexpr char wireMagic[8] = {'T', 'O', 'K', 'S', 'W', 'E', 'E', 'P'};
 
 /** Hard cap on one frame's payload (a corrupt length must not OOM). */
 constexpr std::uint64_t maxFramePayload = 1ull << 30;
@@ -104,8 +101,8 @@ WorkloadSpec decodeWorkloadSpec(WireReader &r);
 
 /**
  * @throws WireError if @p cfg carries a custom workloadFactory — a
- * std::function cannot cross a process boundary; DistRunner rejects
- * such specs up front with the same reasoning.
+ * std::function has no encoding, so such a spec cannot be
+ * fingerprinted for a checkpoint either.
  */
 void encodeSystemConfig(WireWriter &w, const SystemConfig &cfg);
 SystemConfig decodeSystemConfig(WireReader &r);
@@ -139,8 +136,7 @@ System::Results decodeResults(WireReader &r);
 
 enum class FrameType : std::uint8_t
 {
-    hello = 1,   ///< worker -> parent: magic + version handshake
-    job = 2,     ///< parent -> worker: (job id, SystemConfig, seed)
+    job = 2,     ///< parent -> worker: shard index
     result = 3,  ///< worker -> parent: (job id, System::Results)
     error = 4,   ///< worker -> parent: (job id, what()) — shard threw
 };
@@ -148,7 +144,7 @@ enum class FrameType : std::uint8_t
 /** One parsed frame (payload still encoded). */
 struct Frame
 {
-    FrameType type = FrameType::hello;
+    FrameType type = FrameType::job;
     std::string payload;
 };
 
@@ -168,27 +164,9 @@ void appendFrame(std::string &out, FrameType type,
 bool tryExtractFrame(const std::string &buf, std::size_t &pos,
                      Frame &out);
 
-/** The hello payload: magic + wireVersion. */
-std::string encodeHelloPayload();
-
-/**
- * Validate magic, then version (both typed errors — a version
- * mismatch names both versions so a skewed worker binary is
- * diagnosable), then that nothing trails them.
- */
-void checkHelloPayload(const std::string &payload);
-
-std::string encodeJobPayload(std::uint64_t job_id,
-                             const SystemConfig &cfg,
-                             std::uint64_t seed);
-
-struct JobFrame
-{
-    std::uint64_t jobId = 0;
-    SystemConfig cfg;
-    std::uint64_t seed = 0;
-};
-JobFrame decodeJobPayload(const std::string &payload);
+/** The job payload: the shard index, which doubles as the job id. */
+std::string encodeJobPayload(std::uint64_t job_id);
+std::uint64_t decodeJobPayload(const std::string &payload);
 
 std::string encodeResultPayload(std::uint64_t job_id,
                                 const System::Results &res);
@@ -213,7 +191,7 @@ ErrorFrame decodeErrorPayload(const std::string &payload);
 // ---------------------------------------------------------------------
 // Checkpoint layer (see file comment). Codec only — the file I/O
 // (atomic header creation, append, torn-tail truncation) lives in
-// harness/dist_runner.cc.
+// harness/parallel_runner.cc.
 // ---------------------------------------------------------------------
 
 /**
@@ -240,7 +218,7 @@ class CheckpointMismatch : public CheckpointError
     using CheckpointError::CheckpointError;
 };
 
-/** Checkpoint file magic (distinct from the pipe-stream magic). */
+/** Checkpoint file magic. */
 constexpr char checkpointMagic[8] = {'T', 'O', 'K', 'C', 'K', 'P',
                                      'T', '1'};
 
@@ -254,7 +232,8 @@ std::uint32_t crc32(const void *data, std::size_t size);
  * other with the same meaning, which is exactly when resuming across
  * them is sound.
  * @throws WireError if a spec cannot be encoded (custom
- *         workloadFactory) — DistRunner rejects such sweeps anyway.
+ *         workloadFactory) — the runner rejects such checkpointed
+ *         sweeps up front.
  */
 std::uint64_t sweepFingerprint(const std::vector<ExperimentSpec> &specs);
 

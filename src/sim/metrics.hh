@@ -30,7 +30,7 @@
  * A registry is an ordered sequence, not a map: two registries are
  * equal only if they hold the same metrics in the same order with
  * bit-identical payloads. System::results() registers metrics in one
- * fixed order, so serial, ParallelRunner, and DistRunner results
+ * fixed order, so serial, threaded, and process-sharded results
  * compare with a plain operator==.
  */
 
@@ -103,8 +103,8 @@ class MetricRegistry
      * Fold @p o into this registry: shared names merge by kind (sum /
      * combine / bucket-add), names only in @p o are appended. This is
      * the one merge every aggregation path uses — cross-seed
-     * (aggregateResults), cross-thread (ParallelRunner), and
-     * cross-process (DistRunner) — so they cannot drift apart.
+     * (aggregateResults), cross-thread and cross-process
+     * (ParallelRunner) — so they cannot drift apart.
      *
      * @throws std::logic_error if a shared name disagrees on kind or
      * pinned flag: that means two builds registered the same metric

@@ -130,7 +130,7 @@ class RunningStat
     /**
      * The complete internal state, exposed so a RunningStat can cross
      * a process boundary losslessly (harness/wire.cc ships
-     * System::Results between DistRunner worker processes). An empty
+     * System::Results from forked sweep workers). An empty
      * stat's min/max are the +/-infinity sentinels; they round-trip
      * as IEEE-754 bit patterns like any other double.
      */

@@ -1,21 +1,22 @@
 /**
  * @file
- * Distributed-determinism suite for the process-sharded sweep runner:
- * resultDigest() equality across the serial loop, ParallelRunner
- * (threads), and DistRunner (worker subprocesses) at every
- * parallelism level, on mixed preset+trace sweeps and on the
- * committed golden traces — plus crash-recovery gates proving that a
- * SIGKILLed worker or a truncated reply frame reassigns the shard
- * with no effect on final digests.
+ * Executor-determinism suite for the sweep runner: resultDigest()
+ * equality across the serial loop and the ParallelRunner's thread and
+ * forked-process executors at every width, on mixed preset+trace
+ * sweeps and on the committed golden traces — plus crash-recovery
+ * gates proving that every injected worker fault reassigns the shard
+ * with no effect on final digests, checkpoints that resume across
+ * executors, and failure reports that never depend on timing.
  *
  * This is the process-level extension of test_parallel_runner.cc's
- * contract (and of the paper's thesis): which process runs a shard,
- * in what order, and through how many failures is performance policy;
- * the results are correctness, and must not move.
+ * contract (and of the paper's thesis): which thread or process runs
+ * a shard, in what order, and through how many failures is
+ * performance policy; the results are correctness, and must not move.
  */
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -24,10 +25,10 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "harness/dist_runner.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/wire.hh"
 #include "workload/trace.hh"
@@ -69,6 +70,24 @@ smallMatrix()
     return specs;
 }
 
+std::vector<ExperimentResult>
+serialRun(const std::vector<ExperimentSpec> &specs)
+{
+    std::vector<ExperimentResult> out;
+    for (const ExperimentSpec &s : specs)
+        out.push_back(runExperiment(s.cfg, s.seeds, s.label));
+    return out;
+}
+
+/** The serial oracle for smallMatrix(), computed once per binary. */
+const std::vector<ExperimentResult> &
+smallOracle()
+{
+    static const std::vector<ExperimentResult> oracle =
+        serialRun(smallMatrix());
+    return oracle;
+}
+
 std::vector<std::string>
 digestsOf(const std::vector<ExperimentResult> &results)
 {
@@ -91,44 +110,67 @@ expectSameDigests(const std::vector<ExperimentResult> &a,
     }
 }
 
-DistRunner
-makeRunner(int workers)
+ParallelRunnerOptions
+opts(int width, bool processes = true)
 {
-    DistRunnerOptions opts;
-    opts.workers = workers;
-    return DistRunner(std::move(opts));
+    ParallelRunnerOptions o;
+    o.threads = width;
+    o.processes = processes;
+    return o;
 }
 
-TEST(DistRunner, WorkerCountResolvesToAtLeastOne)
+ParallelRunner
+processes(int workers)
 {
-    EXPECT_GE(DistRunner().workers(), 1);
-    EXPECT_EQ(makeRunner(3).workers(), 3);
+    return ParallelRunner(opts(workers));
 }
 
-TEST(DistRunner, EmptySpecListIsFine)
+/** Run smallMatrix() on @p o and compare against the oracle. */
+void
+expectOracle(ParallelRunnerOptions o)
 {
-    EXPECT_TRUE(
-        makeRunner(2).run(std::vector<ExperimentSpec>{}).empty());
+    expectSameDigests(ParallelRunner(std::move(o)).run(smallMatrix()),
+                      smallOracle());
 }
 
-TEST(DistRunner, ZeroSeedsMatchesSerialZeroSeeds)
+ParallelRunnerOptions
+faulted(int workers, WorkerFault::Kind kind, int after)
+{
+    ParallelRunnerOptions o = opts(workers);
+    o.workerFault.kind = kind;
+    o.workerFault.afterShards = after;
+    return o;
+}
+
+TEST(ProcessRunner, WidthResolvesToAtLeastOne)
+{
+    EXPECT_GE(ParallelRunner(opts(0)).threads(), 1);
+    EXPECT_EQ(processes(3).threads(), 3);
+}
+
+TEST(ProcessRunner, EmptySpecListIsFine)
+{
+    EXPECT_TRUE(processes(2).run(std::vector<ExperimentSpec>{}).empty());
+}
+
+TEST(ProcessRunner, ZeroSeedsMatchesSerialZeroSeeds)
 {
     SystemConfig cfg;
     cfg.numNodes = 4;
     cfg.opsPerProcessor = 50;
     const ExperimentSpec spec{cfg, 0, "empty"};
     const ExperimentResult serial = runExperiment(cfg, 0, "empty");
-    const ExperimentResult dist = makeRunner(2).run(spec);
+    const ExperimentResult dist = processes(2).run(spec);
     EXPECT_EQ(dist.ops, 0u);
     EXPECT_EQ(resultDigest(dist), resultDigest(serial));
 }
 
-TEST(DistDeterminism, MatchesSerialAndParallelAtEveryWidth)
+TEST(ExecutorDeterminism, MatchesSerialOnBothExecutorsAtEveryWidth)
 {
-    // The differential gate: serial oracle vs ParallelRunner at
-    // 1/2/4 threads vs DistRunner at 1/2/4 worker processes — every
-    // combination must produce the same digest list, on a sweep that
-    // mixes synthetic presets and a recorded-trace replay.
+    // The differential gate: serial oracle vs threads at 1/2/4 vs
+    // worker processes at 1/2/4 — every combination must produce the
+    // same digest list, on a sweep that mixes synthetic presets and a
+    // recorded-trace replay.
     std::filesystem::create_directories("test_traces");
     const std::string path = "test_traces/dist_mixed.trace";
 
@@ -146,214 +188,201 @@ TEST(DistDeterminism, MatchesSerialAndParallelAtEveryWidth)
     replay.recordTrace.clear();
     replay.workload = WorkloadSpec::trace(path);
     specs.push_back(ExperimentSpec{replay, 2, "replay"});
+    const std::vector<ExperimentResult> serial = serialRun(specs);
 
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    for (int threads : {1, 2, 4}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expectSameDigests(
-            ParallelRunner(ParallelRunnerOptions{threads}).run(specs),
-            serial);
-    }
-    for (int workers : {1, 2, 4}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        expectSameDigests(makeRunner(workers).run(specs), serial);
+    for (const bool procs : {false, true}) {
+        for (int width : {1, 2, 4}) {
+            SCOPED_TRACE(std::string(procs ? "processes=" : "threads=") +
+                         std::to_string(width));
+            expectSameDigests(
+                ParallelRunner(opts(width, procs)).run(specs), serial);
+        }
     }
 }
 
-TEST(DistDeterminism, StreamingLinesArriveAndFinalOrderIsSpecOrder)
+TEST(ExecutorDeterminism, StreamingLinesArriveAndFinalOrderIsSpecOrder)
 {
-    // Streaming partial aggregates must not perturb the final merge:
-    // one progress line per shard, one completion line per spec, and
-    // the completion lines carry exactly the digests the run returns
-    // (the partial aggregate IS the final aggregate).
+    // Streaming partial aggregates must not perturb the final merge,
+    // on either executor: one progress line per shard, one completion
+    // line per spec, and the completion lines carry exactly the
+    // digests the run returns (the partial aggregate IS the final
+    // aggregate).
     const std::vector<ExperimentSpec> specs = smallMatrix();
     std::size_t total_shards = 0;
     for (const ExperimentSpec &s : specs)
         total_shards += static_cast<std::size_t>(s.seeds);
 
-    std::vector<std::string> lines;
-    DistRunnerOptions opts;
-    opts.workers = 3;
-    opts.progress = [&](const std::string &line) {
-        lines.push_back(line);
-    };
-    const std::vector<ExperimentResult> results =
-        DistRunner(std::move(opts)).run(specs);
+    for (const bool procs : {false, true}) {
+        SCOPED_TRACE(procs ? "processes" : "threads");
+        std::vector<std::string> lines;
+        ParallelRunnerOptions o = opts(3, procs);
+        o.progress = [&](const std::string &line) {
+            lines.push_back(line);
+        };
+        const std::vector<ExperimentResult> results =
+            ParallelRunner(std::move(o)).run(specs);
 
-    std::size_t shard_lines = 0;
-    std::size_t spec_lines = 0;
-    for (const std::string &l : lines) {
-        if (l.rfind("shard ", 0) == 0)
-            ++shard_lines;
-        if (l.rfind("spec ", 0) == 0) {
-            ++spec_lines;
-            // "spec <i> "<label>" complete: <digest>"
-            const std::size_t colon = l.find(": ");
-            ASSERT_NE(colon, std::string::npos);
-            const std::string digest = l.substr(colon + 2);
-            bool matched = false;
-            for (const ExperimentResult &r : results)
-                matched = matched || resultDigest(r) == digest;
-            EXPECT_TRUE(matched)
-                << "streamed partial aggregate differs from the "
-                   "final merge: "
-                << l;
+        std::size_t shard_lines = 0;
+        std::size_t spec_lines = 0;
+        for (const std::string &l : lines) {
+            if (l.rfind("shard ", 0) == 0)
+                ++shard_lines;
+            if (l.rfind("spec ", 0) == 0) {
+                ++spec_lines;
+                // "spec <i> "<label>" complete: <digest>"
+                const std::size_t colon = l.find(": ");
+                ASSERT_NE(colon, std::string::npos);
+                const std::string digest = l.substr(colon + 2);
+                bool matched = false;
+                for (const ExperimentResult &r : results)
+                    matched = matched || resultDigest(r) == digest;
+                EXPECT_TRUE(matched)
+                    << "streamed partial aggregate differs from the "
+                       "final merge: "
+                    << l;
+            }
         }
+        EXPECT_EQ(shard_lines, total_shards);
+        EXPECT_EQ(spec_lines, specs.size());
+        ASSERT_EQ(results.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            EXPECT_EQ(results[i].label, specs[i].label);
     }
-    EXPECT_EQ(shard_lines, total_shards);
-    EXPECT_EQ(spec_lines, specs.size());
-    ASSERT_EQ(results.size(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        EXPECT_EQ(results[i].label, specs[i].label);
 }
 
-TEST(DistCrashRecovery, KilledWorkerShardIsRetriedWithSameDigests)
+TEST(ExecutorDeterminism, LowestFailedShardIsReportedOnBothExecutors)
+{
+    // Two design points fail. "bad-first" runs for a while before
+    // exceeding maxTicks; "bad-second" throws at construction, so at
+    // any width > 1 it fails first in wall-clock time. The report
+    // must still name the lowest (spec, seed) shard, every time.
+    SystemConfig slow;
+    slow.numNodes = 8;
+    slow.protocol = ProtocolKind::tokenB;
+    slow.workload = "oltp";
+    slow.opsPerProcessor = 4000;
+    slow.maxTicks = nsToTicks(150'000);
+    slow.seed = 5;
+    SystemConfig instant;
+    instant.topology = "moebius";
+    instant.opsPerProcessor = 10;
+    const std::vector<ExperimentSpec> specs{
+        ExperimentSpec{slow, 2, "bad-first"},
+        ExperimentSpec{instant, 2, "bad-second"},
+    };
+
+    for (const bool procs : {false, true}) {
+        for (int width : {1, 4}) {
+            SCOPED_TRACE(std::string(procs ? "processes=" : "threads=") +
+                         std::to_string(width));
+            try {
+                ParallelRunner(opts(width, procs)).run(specs);
+                ADD_FAILURE() << "failing sweep ran successfully";
+            } catch (const std::runtime_error &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("\"bad-first\", seed 0"),
+                          std::string::npos)
+                    << what;
+                EXPECT_NE(what.find("maxTicks"), std::string::npos)
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(ProcessCrashRecovery, KilledWorkerShardIsRetriedWithSameDigests)
 {
     // Worker 0 SIGKILLs itself after computing its second shard,
     // before replying — the parent must observe EOF with a job
     // outstanding, reassign the shard to a healthy worker, and merge
     // to exactly the serial oracle's digests.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    DistRunnerOptions opts;
-    opts.workers = 3;
-    opts.workerFault.crashAfterShards = 1;
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
+    expectOracle(faulted(3, WorkerFault::Kind::crash, 1));
 }
 
-TEST(DistCrashRecovery, TruncatedResultFrameIsRetriedWithSameDigests)
+TEST(ProcessCrashRecovery, TruncatedResultFrameIsRetriedWithSameDigests)
 {
     // Worker 0 replies to its first shard with half a result frame
     // and exits: the parent sees a partial frame then EOF — the
     // malformed-reply path — and must reassign, again bit-identical.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    DistRunnerOptions opts;
-    opts.workers = 2;
-    opts.workerFault.truncateAfterShards = 0;
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
+    expectOracle(faulted(2, WorkerFault::Kind::truncate, 0));
 }
 
-TEST(DistCrashRecovery, GarbageReplyFromAnyWorkerIndexIsRecovered)
+TEST(ProcessCrashRecovery, GarbageReplyFromAnyWorkerIndexIsRecovered)
 {
     // Worker 2 — NOT worker 0, proving fault targeting reaches every
     // pool slot — replies to its first shard with 64 bytes of 0xee
     // (an invalid frame type) and exits. The parent's decoder throws,
     // the worker is killed and replaced, the shard reassigns.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    DistRunnerOptions opts;
-    opts.workers = 3;
-    opts.workerFault.worker = 2;
-    opts.workerFault.garbageAfterShards = 0;
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
+    ParallelRunnerOptions o = faulted(3, WorkerFault::Kind::garbage, 0);
+    o.workerFault.worker = 2;
+    expectOracle(std::move(o));
 }
 
-TEST(DistCrashRecovery, HungWorkerIsKilledByDeadlineAndRecovered)
+TEST(ProcessCrashRecovery, HungWorkerIsKilledByDeadlineAndRecovered)
 {
     // Worker 0 goes silent forever after its second shard — no exit,
     // no bytes, the one failure EOF can never report. The per-shard
     // deadline must SIGKILL it and reassign, digests untouched.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
     bool sawHangKill = false;
-    DistRunnerOptions opts;
-    opts.workers = 3;
-    opts.shardTimeoutMs = 1500;
-    opts.workerFault.hangAfterShards = 1;
-    opts.progress = [&](const std::string &l) {
+    ParallelRunnerOptions o = faulted(3, WorkerFault::Kind::hang, 1);
+    o.shardTimeoutMs = 1500;
+    o.progress = [&](const std::string &l) {
         if (l.find("hung") != std::string::npos)
             sawHangKill = true;
     };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
+    expectOracle(std::move(o));
     EXPECT_TRUE(sawHangKill);
 }
 
-TEST(DistCrashRecovery, PartialFrameThenHangIsRecoveredByDeadline)
+TEST(ProcessCrashRecovery, PartialFrameThenHangIsRecoveredByDeadline)
 {
     // Half a result frame, then silence: the buffered prefix never
     // completes a frame, so only the deadline can unstick the sweep.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
-    DistRunnerOptions opts;
-    opts.workers = 3;
-    opts.shardTimeoutMs = 1500;
-    opts.workerFault.partialFrameAfterShards = 0;
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
+    ParallelRunnerOptions o =
+        faulted(3, WorkerFault::Kind::partialFrame, 0);
+    o.shardTimeoutMs = 1500;
+    expectOracle(std::move(o));
 }
 
-TEST(DistCrashRecovery, RespawnedWorkerCrashingAgainIsStillRecovered)
+TEST(ProcessCrashRecovery, RespawnedWorkerCrashingAgainIsStillRecovered)
 {
     // Every process spawned into slot 0 — the initial worker AND each
     // respawn — crashes after its second shard. The respawn budget
     // (2x workers = 6) absorbs the churn; healthy slots 1 and 2 plus
     // the retry budget carry the sweep to the same digests.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
     int respawns = 0;
-    DistRunnerOptions opts;
-    opts.workers = 3;
-    opts.maxShardRetries = 20;
-    opts.workerFault.worker = 0;
-    opts.workerFault.spawnGeneration = -1;   // every spawn
-    opts.workerFault.crashAfterShards = 1;
-    opts.progress = [&](const std::string &l) {
+    ParallelRunnerOptions o = faulted(3, WorkerFault::Kind::crash, 1);
+    o.maxShardRetries = 20;
+    o.workerFault.spawnGeneration = -1;   // every spawn
+    o.progress = [&](const std::string &l) {
         if (l.find("respawned") != std::string::npos)
             ++respawns;
     };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
+    expectOracle(std::move(o));
     EXPECT_GE(respawns, 1);
 }
 
-TEST(DistCrashRecovery, TotalWorkerChurnDegradesToInProcessRun)
+TEST(ProcessCrashRecovery, TotalWorkerChurnDegradesToInProcessRun)
 {
     // Every worker, every spawn, crashes before its first reply: no
     // shard can EVER complete in a subprocess. Once the respawn
-    // budget is spent and the pool empties, the parent must finish
-    // the sweep in-process — same digests, not an exception.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-
+    // budget (2x width) is spent and the pool empties, the parent
+    // must finish the sweep in-process — same digests, not an
+    // exception.
     bool degraded = false;
-    DistRunnerOptions opts;
-    opts.workers = 2;
-    opts.maxWorkerRespawns = 2;
-    opts.maxShardRetries = 100;
-    opts.workerFault.worker = -1;            // every slot
-    opts.workerFault.spawnGeneration = -1;   // every spawn
-    opts.workerFault.crashAfterShards = 0;
-    opts.progress = [&](const std::string &l) {
+    ParallelRunnerOptions o = faulted(2, WorkerFault::Kind::crash, 0);
+    o.maxShardRetries = 100;
+    o.workerFault.worker = -1;            // every slot
+    o.workerFault.spawnGeneration = -1;   // every spawn
+    o.progress = [&](const std::string &l) {
         if (l.find("in-process") != std::string::npos)
             degraded = true;
     };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
+    expectOracle(std::move(o));
     EXPECT_TRUE(degraded);
 }
 
-TEST(DistRunner, ShardExceptionPropagatesFromWorker)
+TEST(ProcessRunner, ShardExceptionPropagatesFromWorker)
 {
     // An impossible topology throws inside the worker subprocess; the
     // worker reports it as an error frame (a deterministic failure,
@@ -363,7 +392,7 @@ TEST(DistRunner, ShardExceptionPropagatesFromWorker)
     cfg.opsPerProcessor = 10;
     std::vector<ExperimentSpec> specs{ExperimentSpec{cfg, 2, "bad"}};
     try {
-        makeRunner(2).run(specs);
+        processes(2).run(specs);
         FAIL() << "impossible topology ran successfully";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("bad"),
@@ -372,85 +401,63 @@ TEST(DistRunner, ShardExceptionPropagatesFromWorker)
     }
 }
 
-TEST(DistRunner, CustomWorkloadFactoryIsRejectedUpFront)
+/** A stream no WorkloadSpec can name: it exists only as a factory. */
+class HashedWorkload : public Workload
 {
+  public:
+    explicit HashedWorkload(std::uint64_t state) : state_(state) {}
+
+    WorkloadOp
+    next() override
+    {
+        // SplitMix64: a store one time in four over 64 shared blocks.
+        state_ += 0x9e3779b97f4a7c15ull;
+        std::uint64_t z = state_;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        z ^= z >> 31;
+        WorkloadOp op;
+        op.op = (z & 3) == 0 ? MemOp::store : MemOp::load;
+        op.addr = 0x40000 + 64 * ((z >> 8) % 64);
+        return op;
+    }
+
+    std::string name() const override { return "hashed"; }
+
+  private:
+    std::uint64_t state_;
+};
+
+TEST(ProcessRunner, CustomWorkloadFactoryRunsAndMatchesSerial)
+{
+    // Forked workers inherit the spec list, factory and all, so a
+    // spec the wire cannot encode still runs — bit-identically.
     SystemConfig cfg;
-    cfg.workloadFactory = [](NodeId, int,
-                             std::uint64_t) -> std::unique_ptr<Workload> {
-        return nullptr;
+    cfg.numNodes = 8;
+    cfg.protocol = ProtocolKind::tokenB;
+    cfg.opsPerProcessor = 300;
+    cfg.seed = 3;
+    cfg.workloadFactory = [](NodeId node, int,
+                             std::uint64_t seed)
+        -> std::unique_ptr<Workload> {
+        return std::make_unique<HashedWorkload>(seed * 1000 + node);
     };
-    std::vector<ExperimentSpec> specs{ExperimentSpec{cfg, 1, "f"}};
-    EXPECT_THROW(makeRunner(2).run(specs), std::invalid_argument);
-}
-
-TEST(DistRunner, NonWorkerBinaryFailsHandshakeWithClearError)
-{
-    // Exec'ing something that does not speak the protocol (cat
-    // echoes our own job frame back before any hello) must surface
-    // as a handshake failure naming the problem — not burn the
-    // retry budget and die as "workers keep dying".
-    SystemConfig cfg;
-    cfg.numNodes = 4;
-    cfg.opsPerProcessor = 10;
-    std::vector<ExperimentSpec> specs{ExperimentSpec{cfg, 1, "h"}};
-    DistRunnerOptions opts;
-    opts.workers = 2;
-    opts.workerArgv = {"/bin/cat"};
-    try {
-        DistRunner(std::move(opts)).run(specs);
-        FAIL() << "/bin/cat passed the worker handshake";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("handshake"),
-                  std::string::npos)
-            << e.what();
+    const std::vector<ExperimentSpec> specs{
+        ExperimentSpec{cfg, 3, "hashed"}};
+    const std::vector<ExperimentResult> serial = serialRun(specs);
+    EXPECT_GT(serial.front().ops, 0u);
+    for (int workers : {1, 3}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        expectSameDigests(processes(workers).run(specs), serial);
     }
 }
 
-TEST(DistRunner, VersionSkewedWorkerFailsHandshakeWithTypedMessage)
-{
-    // An exec'd worker from an older build: its hello is well-formed
-    // in the previous wire version's layout (magic, version, and the
-    // "host:pid" name string that version carried). The run must be
-    // refused at the handshake with the typed version-mismatch
-    // message, so the operator knows to rebuild the worker binary.
-    WireWriter w;
-    w.raw(wireMagic, sizeof(wireMagic));
-    w.varint(wireVersion - 1);
-    w.str("old-build:1");
-    std::string frame;
-    appendFrame(frame, FrameType::hello, w.take());
-    std::string escaped;
-    for (const unsigned char c : frame) {
-        char oct[8];
-        std::snprintf(oct, sizeof(oct), "\\%03o", c);
-        escaped += oct;
-    }
-
-    SystemConfig cfg;
-    cfg.numNodes = 4;
-    cfg.opsPerProcessor = 10;
-    std::vector<ExperimentSpec> specs{ExperimentSpec{cfg, 1, "v"}};
-    DistRunnerOptions opts;
-    opts.workers = 2;
-    opts.workerArgv = {"/bin/sh", "-c",
-                       "printf '" + escaped + "'; exec cat"};
-    try {
-        DistRunner(std::move(opts)).run(specs);
-        FAIL() << "a version-skewed worker passed the handshake";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("handshake"), std::string::npos) << what;
-        EXPECT_NE(what.find("version mismatch"), std::string::npos)
-            << what;
-    }
-}
-
-TEST(DistRunner, RecordTraceIsRejectedUpFront)
+TEST(ProcessRunner, RecordTraceIsRejectedUpFront)
 {
     SystemConfig cfg;
     cfg.recordTrace = "test_traces/should_not_race.trace";
     std::vector<ExperimentSpec> specs{ExperimentSpec{cfg, 1, "r"}};
-    EXPECT_THROW(makeRunner(2).run(specs), std::invalid_argument);
+    EXPECT_THROW(processes(2).run(specs), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -466,76 +473,62 @@ ckptPath(const std::string &name)
     return path;
 }
 
-DistRunnerOptions
-ckptOpts(const std::string &path, int workers)
+ParallelRunnerOptions
+ckptOpts(const std::string &path, int width, bool procs = true)
 {
-    DistRunnerOptions opts;
-    opts.workers = workers;
-    opts.checkpointPath = path;
-    return opts;
+    ParallelRunnerOptions o = opts(width, procs);
+    o.checkpointPath = path;
+    return o;
 }
 
-TEST(DistCheckpoint, ResumeFromCompleteAndTruncatedFilesIsIdentical)
+/** Run with @p o and return the "checkpoint: restored" line. */
+std::string
+runCapturingRestore(ParallelRunnerOptions o)
 {
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
+    std::string line;
+    o.progress = [&](const std::string &l) {
+        if (l.rfind("checkpoint: restored", 0) == 0)
+            line = l;
+    };
+    expectOracle(std::move(o));
+    return line;
+}
+
+TEST(Checkpoint, ResumeFromCompleteAndTruncatedFilesIsIdentical)
+{
+    // The passes alternate executors and widths: a record does not
+    // care which executor wrote it or which one restores it.
     const std::string path = ckptPath("resume");
 
     // Pass 1: fresh file, all 12 shards computed and recorded.
-    expectSameDigests(
-        DistRunner(ckptOpts(path, 3)).run(specs), serial);
+    expectOracle(ckptOpts(path, 3));
     const std::uintmax_t full_size = std::filesystem::file_size(path);
 
     // Pass 2: full restore — zero recomputation, identical digests,
-    // and the restore line says so (at a different worker count, to
-    // prove restore is schedule-independent).
-    std::string restore_line;
-    DistRunnerOptions opts2 = ckptOpts(path, 2);
-    opts2.progress = [&](const std::string &l) {
-        if (l.rfind("checkpoint: restored", 0) == 0)
-            restore_line = l;
-    };
-    expectSameDigests(DistRunner(std::move(opts2)).run(specs), serial);
+    // and the restore line says so.
+    const std::string restore_line =
+        runCapturingRestore(ckptOpts(path, 2, false));
     EXPECT_NE(restore_line.find("restored 12/12"), std::string::npos)
         << restore_line;
 
     // Pass 3: chop the file mid-record (a crash mid-append). The torn
     // tail must drop, the missing shards recompute, digests hold.
     std::filesystem::resize_file(path, full_size * 2 / 3);
-    std::string torn_line;
-    DistRunnerOptions opts3 = ckptOpts(path, 3);
-    opts3.progress = [&](const std::string &l) {
-        if (l.rfind("checkpoint: restored", 0) == 0)
-            torn_line = l;
-    };
-    expectSameDigests(DistRunner(std::move(opts3)).run(specs), serial);
+    const std::string torn_line =
+        runCapturingRestore(ckptOpts(path, 3, false));
     EXPECT_NE(torn_line.find("torn tail"), std::string::npos)
         << torn_line;
 
     // Pass 4: pass 3's re-appended records must land where the next
     // resume can see them — a full restore again.
-    std::string again;
-    DistRunnerOptions opts4 = ckptOpts(path, 2);
-    opts4.progress = [&](const std::string &l) {
-        if (l.rfind("checkpoint: restored", 0) == 0)
-            again = l;
-    };
-    expectSameDigests(DistRunner(std::move(opts4)).run(specs), serial);
-    EXPECT_NE(again.find("restored 12/12"), std::string::npos)
-        << again;
+    const std::string again = runCapturingRestore(ckptOpts(path, 2));
+    EXPECT_NE(again.find("restored 12/12"), std::string::npos) << again;
 }
 
-TEST(DistCheckpoint, CorruptTrailingByteReadsAsTornTail)
+TEST(Checkpoint, CorruptTrailingByteReadsAsTornTail)
 {
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
     const std::string path = ckptPath("corrupt");
-    expectSameDigests(
-        DistRunner(ckptOpts(path, 3)).run(specs), serial);
+    expectOracle(ckptOpts(path, 3));
 
     // Flip a byte inside the last record: its CRC fails, it drops as
     // a torn tail, and the shard recomputes to the same digest.
@@ -549,62 +542,103 @@ TEST(DistCheckpoint, CorruptTrailingByteReadsAsTornTail)
     f.put(static_cast<char>(c ^ 0x55));
     f.close();
 
-    expectSameDigests(
-        DistRunner(ckptOpts(path, 2)).run(specs), serial);
+    expectOracle(ckptOpts(path, 2));
 }
 
-TEST(DistCheckpoint, DifferentSweepFingerprintIsRejected)
+TEST(Checkpoint, DifferentSweepFingerprintIsRejected)
 {
     const std::vector<ExperimentSpec> specs = smallMatrix();
     const std::string path = ckptPath("mismatch");
-    DistRunner(ckptOpts(path, 2)).run(specs);
+    ParallelRunner(ckptOpts(path, 2)).run(specs);
 
     // One more seed per point is a different sweep: resuming against
     // the old file must throw the typed mismatch, not merge garbage.
     std::vector<ExperimentSpec> other = specs;
     for (ExperimentSpec &s : other)
         s.seeds += 1;
-    EXPECT_THROW(DistRunner(ckptOpts(path, 2)).run(other),
+    EXPECT_THROW(ParallelRunner(ckptOpts(path, 2)).run(other),
                  CheckpointMismatch);
 
     // A non-checkpoint file is a typed CheckpointError.
     const std::string junk = ckptPath("junk");
     std::ofstream(junk, std::ios::binary) << "not a checkpoint file";
-    EXPECT_THROW(DistRunner(ckptOpts(junk, 2)).run(specs),
+    EXPECT_THROW(ParallelRunner(ckptOpts(junk, 2, false)).run(specs),
                  CheckpointError);
 }
 
-TEST(DistCheckpoint, SigkilledSweepResumesBitIdentically)
+TEST(Checkpoint, ReadErrorIsACheckpointErrorNotATornTail)
 {
-    // The end-to-end crash gate: a whole DistRunner — parent and
-    // workers — is SIGKILLed mid-sweep, then the sweep reruns against
-    // the surviving checkpoint. The resume must restore whatever was
-    // recorded (any torn trailing record dropped), recompute the
-    // rest, and match the serial oracle exactly.
-    const std::vector<ExperimentSpec> specs = smallMatrix();
-    std::vector<ExperimentResult> serial;
-    for (const ExperimentSpec &s : specs)
-        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
-    const std::string path = ckptPath("sigkill");
+    // /proc/self/mem opens read-write, but reading offset 0 (never
+    // mapped) fails with EIO: a real read error from a real path. It
+    // must surface as a CheckpointError naming the failed read —
+    // never as an empty file whose "torn tail" gets truncated away.
+    const char *mem = "/proc/self/mem";
+    const int fd = ::open(mem, O_RDWR | O_CLOEXEC);
+    char byte;
+    const bool readFails = fd >= 0 && ::read(fd, &byte, 1) < 0;
+    if (fd >= 0)
+        ::close(fd);
+    if (!readFails)
+        GTEST_SKIP() << mem << " is not readable-with-EIO here";
+
+    for (const bool procs : {false, true}) {
+        SCOPED_TRACE(procs ? "processes" : "threads");
+        try {
+            ParallelRunner(ckptOpts(mem, 2, procs)).run(smallMatrix());
+            ADD_FAILURE() << "an unreadable checkpoint was accepted";
+        } catch (const CheckpointError &e) {
+            EXPECT_NE(std::string(e.what()).find("cannot read"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Checkpoint, CustomWorkloadFactoryCannotBeCheckpointed)
+{
+    SystemConfig cfg;
+    cfg.workloadFactory = [](NodeId, int,
+                             std::uint64_t) -> std::unique_ptr<Workload> {
+        return std::make_unique<HashedWorkload>(1);
+    };
+    const std::vector<ExperimentSpec> specs{ExperimentSpec{cfg, 1, "f"}};
+    const std::string path = ckptPath("factory");
+    EXPECT_THROW(ParallelRunner(ckptOpts(path, 2, false)).run(specs),
+                 std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+/**
+ * The end-to-end crash gate: a whole runner — parent and any workers
+ * — is SIGKILLed mid-sweep on one executor, then the sweep reruns
+ * against the surviving checkpoint on @p resume_procs' executor. The
+ * resume must restore whatever was recorded (any torn trailing record
+ * dropped), recompute the rest, and match the serial oracle exactly.
+ */
+void
+killMidSweepThenResume(const std::string &name, bool victim_procs,
+                       bool resume_procs)
+{
+    const std::string path = ckptPath(name);
 
     int progress_pipe[2];
     ASSERT_EQ(::pipe(progress_pipe), 0);
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-        // Victim process: run the checkpointed sweep with forked
-        // workers, ticking a byte into the pipe per completed shard
-        // so the parent can kill us provably mid-sweep. Only _exit
-        // from here — this is a forked copy of the test binary.
+        // Victim process: run the checkpointed sweep, ticking a byte
+        // into the pipe per completed shard so the parent can kill us
+        // provably mid-sweep. Only _exit from here — this is a forked
+        // copy of the test binary.
         ::close(progress_pipe[0]);
-        DistRunnerOptions opts = ckptOpts(path, 2);
+        ParallelRunnerOptions o = ckptOpts(path, 2, victim_procs);
         const int wfd = progress_pipe[1];
-        opts.progress = [wfd](const std::string &l) {
+        o.progress = [wfd](const std::string &l) {
             if (l.rfind("shard ", 0) == 0)
                 (void)!::write(wfd, "x", 1);
         };
         try {
-            DistRunner(std::move(opts)).run(specs);
+            ParallelRunner(std::move(o)).run(smallMatrix());
         } catch (...) {
             _exit(1);
         }
@@ -626,17 +660,28 @@ TEST(DistCheckpoint, SigkilledSweepResumesBitIdentically)
 
     ASSERT_TRUE(std::filesystem::exists(path))
         << "checkpoint never materialized";
-    std::size_t restored = 0;
-    DistRunnerOptions opts = ckptOpts(path, 3);
-    opts.progress = [&](const std::string &l) {
-        if (l.find("restored") != std::string::npos)
-            ++restored;
-    };
-    expectSameDigests(DistRunner(std::move(opts)).run(specs), serial);
+    const std::string restored =
+        runCapturingRestore(ckptOpts(path, 3, resume_procs));
+    EXPECT_NE(restored.find("restored"), std::string::npos) << restored;
+}
+
+TEST(Checkpoint, SigkilledSweepResumesBitIdentically)
+{
+    killMidSweepThenResume("sigkill", true, true);
+}
+
+TEST(Checkpoint, ThreadSweepKilledResumesUnderProcesses)
+{
+    killMidSweepThenResume("threads_to_procs", false, true);
+}
+
+TEST(Checkpoint, ProcessSweepKilledResumesUnderThreads)
+{
+    killMidSweepThenResume("procs_to_threads", true, false);
 }
 
 // ---------------------------------------------------------------------
-// Golden-trace replay through the DistRunner
+// Golden-trace replay through worker processes
 // ---------------------------------------------------------------------
 
 std::string
@@ -680,13 +725,13 @@ loadGoldenDigests()
     return out;
 }
 
-TEST(DistGolden, ReplayThroughWorkersReproducesCommittedDigests)
+TEST(ProcessGolden, ReplayThroughWorkersReproducesCommittedDigests)
 {
     // The strongest cross-process oracle available: the committed
     // golden digests were produced by in-process serial replays, so
     // matching them from worker subprocesses proves the entire
-    // pipeline — spec encode, worker-side System build, result
-    // encode, streaming merge — adds exactly zero drift.
+    // pipeline — worker-side System build, result encode, streaming
+    // merge — adds exactly zero drift.
     const ProtocolKind protos[] = {
         ProtocolKind::snooping, ProtocolKind::directory,
         ProtocolKind::hammer,   ProtocolKind::tokenB,
@@ -722,26 +767,23 @@ TEST(DistGolden, ReplayThroughWorkersReproducesCommittedDigests)
     ASSERT_EQ(expected.size(), specs.size());
 
     const std::vector<ExperimentResult> results =
-        makeRunner(4).run(specs);
+        processes(4).run(specs);
     ASSERT_EQ(results.size(), specs.size());
     for (const ExperimentResult &r : results) {
         SCOPED_TRACE(r.label);
         const auto it = expected.find(r.label);
         ASSERT_NE(it, expected.end());
         EXPECT_EQ(resultDigest(r), it->second)
-            << "distributed replay drifted from the committed "
-               "golden digest";
+            << "process replay drifted from the committed golden "
+               "digest";
     }
 }
 
-TEST(DistDeterminism, RepeatedDistRunsAreIdentical)
+TEST(ExecutorDeterminism, RepeatedProcessRunsAreIdentical)
 {
     const std::vector<ExperimentSpec> specs = smallMatrix();
-    const std::vector<std::string> a =
-        digestsOf(makeRunner(3).run(specs));
-    const std::vector<std::string> b =
-        digestsOf(makeRunner(3).run(specs));
-    EXPECT_EQ(a, b);
+    EXPECT_EQ(digestsOf(processes(3).run(specs)),
+              digestsOf(processes(3).run(specs)));
 }
 
 } // namespace

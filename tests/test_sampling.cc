@@ -7,8 +7,9 @@
  *    block) and leaves a state the detailed engine runs cleanly from,
  *    for every protocol family;
  *  - a sampled run is deterministic and bit-identical across the
- *    serial loop, ParallelRunner, and DistRunner at several widths
- *    (fast-forward must not introduce any scheduling sensitivity);
+ *    serial loop and the ParallelRunner's thread and process
+ *    executors at several widths (fast-forward must not introduce
+ *    any scheduling sensitivity);
  *  - saving a warm snapshot and restoring it into a fresh System is
  *    bit-equivalent to performing the same fast-forward in place;
  *  - one snapshot serves every timing config sharing the shape
@@ -24,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/dist_runner.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/snapshot.hh"
 #include "harness/system.hh"
@@ -181,15 +181,16 @@ TEST(Sampling, BitIdenticalAcrossParallelWidths)
     }
 }
 
-TEST(Sampling, BitIdenticalAcrossDistWidths)
+TEST(Sampling, BitIdenticalAcrossProcessWidths)
 {
     const std::vector<ExperimentSpec> specs = sampledMatrix();
     const std::vector<ExperimentResult> serial =
         ParallelRunner(ParallelRunnerOptions{1}).run(specs);
     for (int workers : {1, 2, 4}) {
-        DistRunnerOptions opts;
-        opts.workers = workers;
-        expectSameDigests(DistRunner(std::move(opts)).run(specs),
+        ParallelRunnerOptions opts;
+        opts.threads = workers;
+        opts.processes = true;
+        expectSameDigests(ParallelRunner(std::move(opts)).run(specs),
                           serial);
     }
 }
@@ -446,9 +447,10 @@ TEST(MultiTenant, BitIdenticalAcrossRunnerWidths)
             serial);
     }
     for (int workers : {1, 2, 4}) {
-        DistRunnerOptions opts;
-        opts.workers = workers;
-        expectSameDigests(DistRunner(std::move(opts)).run(specs),
+        ParallelRunnerOptions opts;
+        opts.threads = workers;
+        opts.processes = true;
+        expectSameDigests(ParallelRunner(std::move(opts)).run(specs),
                           serial);
     }
 }

@@ -616,7 +616,7 @@ TEST(WireStructs, MetricCountOverCapIsATypedError)
 TEST(WireStructs, LayoutSkewIsReportedAsVersionMismatch)
 {
     // Flip the end-of-struct sentinel: the decode must say "layout
-    // mismatch", the canary for a parent/worker version skew.
+    // mismatch", the canary for a checkpoint from a skewed build.
     WireWriter w;
     encodeResults(w, System::Results{});
     std::string buf = w.take();
@@ -635,64 +635,6 @@ TEST(WireStructs, LayoutSkewIsReportedAsVersionMismatch)
 // ---------------------------------------------------------------------
 // Frame layer
 // ---------------------------------------------------------------------
-
-TEST(WireFrames, HelloRoundTripsAndRejectsBadMagicAndVersion)
-{
-    EXPECT_NO_THROW(checkHelloPayload(encodeHelloPayload()));
-
-    std::string bad_magic = encodeHelloPayload();
-    bad_magic[0] = 'X';
-    EXPECT_THROW(checkHelloPayload(bad_magic), WireError);
-
-    WireWriter w;
-    w.raw(wireMagic, sizeof(wireMagic));
-    w.varint(wireVersion + 1);
-    EXPECT_THROW(checkHelloPayload(w.buffer()), WireError);
-
-    EXPECT_THROW(checkHelloPayload("TOK"), WireError);
-}
-
-TEST(WireFrames, HelloTruncatedAtEveryByteOffsetIsATypedError)
-{
-    // The checkpoint-codec fuzz discipline applied to the hello:
-    // every proper prefix must throw WireError — never succeed,
-    // never crash, never throw anything untyped.
-    const std::string full = encodeHelloPayload();
-    for (std::size_t cut = 0; cut < full.size(); ++cut) {
-        SCOPED_TRACE("cut=" + std::to_string(cut));
-        EXPECT_THROW(checkHelloPayload(full.substr(0, cut)),
-                     WireError);
-    }
-    EXPECT_NO_THROW(checkHelloPayload(full));
-}
-
-TEST(WireFrames, HelloTrailingBytesAreATypedError)
-{
-    // expectEnd discipline: a hello with bytes after the version is
-    // a different layout, not something to half-accept.
-    std::string extra = encodeHelloPayload();
-    extra.push_back('\x00');
-    EXPECT_THROW(checkHelloPayload(extra), WireError);
-}
-
-TEST(WireFrames, HelloVersionIsCheckedBeforeTrailingBytes)
-{
-    // A v5 worker's hello carries a name string after the version,
-    // which this layout reads as trailing bytes. The error the
-    // operator can act on is "version mismatch", so it must win.
-    WireWriter w;
-    w.raw(wireMagic, sizeof(wireMagic));
-    w.varint(5);
-    w.str("host:4242");
-    try {
-        checkHelloPayload(w.buffer());
-        FAIL() << "v5 hello decoded successfully";
-    } catch (const WireError &e) {
-        EXPECT_NE(std::string(e.what()).find("version mismatch"),
-                  std::string::npos)
-            << e.what();
-    }
-}
 
 TEST(WireFrames, ExtractionIsIncrementalByteByByte)
 {
@@ -746,12 +688,9 @@ TEST(WireFrames, OversizedPayloadLengthIsATypedError)
 
 TEST(WireFrames, JobResultErrorPayloadsRoundTrip)
 {
-    const SystemConfig cfg = exhaustiveConfig();
-    const JobFrame job =
-        decodeJobPayload(encodeJobPayload(42, cfg, 1234567));
-    EXPECT_EQ(job.jobId, 42u);
-    EXPECT_EQ(job.seed, 1234567u);
-    expectSameConfig(job.cfg, cfg);
+    EXPECT_EQ(decodeJobPayload(encodeJobPayload(42)), 42u);
+    EXPECT_THROW(decodeJobPayload(encodeJobPayload(42) + "x"),
+                 WireError);
 
     const System::Results res = exhaustiveResults();
     const ResultFrame rf =
@@ -812,13 +751,6 @@ TEST(WireCheckpoint, HeaderBadMagicAndVersionAreCheckpointErrors)
     bad[0] = 'X';
     std::size_t pos = 0;
     EXPECT_THROW(decodeCheckpointHeader(bad, pos), CheckpointError);
-
-    // Not a wire stream either: the pipe magic must not be accepted.
-    std::string pipe_magic = encodeCheckpointHeader(1, 2);
-    std::memcpy(&pipe_magic[0], wireMagic, sizeof(wireMagic));
-    pos = 0;
-    EXPECT_THROW(decodeCheckpointHeader(pipe_magic, pos),
-                 CheckpointError);
 
     std::string vbad(checkpointMagic, sizeof(checkpointMagic));
     WireWriter w;
@@ -979,8 +911,8 @@ TEST(WireSnapshot, BadMagicAndVersionAreTypedErrors)
         static_cast<char>(snapshotVersion + 1);
     EXPECT_THROW(peekSnapshotHeader(bad_version), SnapshotError);
 
-    // A checkpoint or pipe stream is not a snapshot.
-    EXPECT_THROW(peekSnapshotHeader(encodeHelloPayload()),
+    // A checkpoint is not a snapshot.
+    EXPECT_THROW(peekSnapshotHeader(encodeCheckpointHeader(1, 2)),
                  SnapshotError);
 }
 
