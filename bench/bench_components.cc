@@ -648,6 +648,30 @@ BM_FastForwardOpRate(benchmark::State &state)
 BENCHMARK(BM_FastForwardOpRate);
 
 void
+BM_DirectoryHomeChurn(benchmark::State &state)
+{
+    // Directory home-controller state: a 64-node Directory System on
+    // tpcc is reset and fast-forwarded 1000 ops per node each
+    // iteration, so every home fills its entry table again over the
+    // whole footprint — owners move and sharer sets fill and clear on
+    // every miss. Per-entry layout and pooled sharer storage are what
+    // this measures; the detailed engine does not run.
+    SystemConfig cfg;
+    cfg.numNodes = 64;
+    cfg.topology = "torus";
+    cfg.protocol = ProtocolKind::directory;
+    cfg.workload = "tpcc";
+    System sys(cfg);
+    for (auto _ : state) {
+        sys.reset(cfg);
+        sys.fastForward(1000);
+        benchmark::DoNotOptimize(sys.sequencer(0).completedOps());
+    }
+    state.SetItemsProcessed(state.iterations() * 64 * 1000);
+}
+BENCHMARK(BM_DirectoryHomeChurn)->Unit(benchmark::kMillisecond);
+
+void
 BM_SnapshotSave(benchmark::State &state)
 {
     // Warm-state snapshot encode throughput. The producer stays

@@ -19,11 +19,17 @@ TokenDCache::issueTransient(Addr addr, const Transaction &trans,
     sendAfter(ctx_.ctrlLatency, msg);
 }
 
-const TokenDMemory::SoftState *
+std::optional<TokenDMemory::SoftView>
 TokenDMemory::softState(Addr addr) const
 {
     auto it = soft_.find(ctx_.blockAlign(addr));
-    return it == soft_.end() ? nullptr : &it->second;
+    if (it == soft_.end())
+        return std::nullopt;
+    SoftView v;
+    v.probableOwner = it->second.probableOwner;
+    sharerPool_.forEach(it->second.probableSharers,
+                        [&](NodeId s) { v.probableSharers.push_back(s); });
+    return v;
 }
 
 void
@@ -43,38 +49,37 @@ TokenDMemory::handleTransient(const Message &msg)
     // a redirected read with everything) — but every owner is a past
     // requester, so redirecting to the whole remembered set keeps the
     // common case one-shot. The soft state is still only a hint;
-    // stale entries merely cost a reissue.
+    // stale entries merely cost a reissue. Targets go out in ascending
+    // node order.
     SoftState &ss = soft_[ba];
-    std::set<NodeId> targets;
-    if (ss.probableOwner != invalidNode && ss.probableOwner != req)
-        targets.insert(ss.probableOwner);
-    for (NodeId s : ss.probableSharers) {
-        if (s != req)
-            targets.insert(s);
-    }
-    for (NodeId t : targets) {
+    sharerPool_.copyTo(ss.probableSharers, targets_);
+    const auto bit = [](NodeId n) { return std::uint64_t{1} << (n % 64); };
+    if (ss.probableOwner != invalidNode)
+        targets_[ss.probableOwner / 64] |= bit(ss.probableOwner);
+    targets_[req / 64] &= ~bit(req);
+    forEachNode(targets_.data(), targets_.size(), [&](NodeId t) {
         Message fwd = msg;
         fwd.src = id_;
         fwd.dest = t;
         fwd.dstUnit = Unit::cache;
         fwd.isBroadcast = false;
         sendAfter(ctx_.ctrlLatency, fwd);
-    }
+    });
 
     // Update the prediction: an exclusive requester will soon hold
     // everything; a shared requester joins the holder set (and may
     // become the owner through a migratory handoff).
     if (exclusive) {
         ss.probableOwner = req;
-        ss.probableSharers.clear();
+        sharerPool_.clear(ss.probableSharers);
     } else {
-        ss.probableSharers.insert(req);
+        sharerPool_.insert(ss.probableSharers, req);
         if (ss.probableOwner == invalidNode)
             ss.probableOwner = req;
         // Soft state, not a full map: bound the remembered set and
         // let reissues repopulate it after a reset.
-        if (ss.probableSharers.size() > 32)
-            ss.probableSharers.clear();
+        if (sharerPool_.count(ss.probableSharers) > 32)
+            sharerPool_.clear(ss.probableSharers);
     }
 }
 

@@ -27,11 +27,13 @@
 #ifndef TOKENSIM_CORE_EXT_TOKEND_HH
 #define TOKENSIM_CORE_EXT_TOKEND_HH
 
-#include <set>
-#include <unordered_map>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "core/tokenb.hh"
 #include "mem/block_map.hh"
+#include "proto/home_state.hh"
 
 namespace tokensim {
 
@@ -55,27 +57,38 @@ class TokenDMemory : public TokenBMemory
   public:
     using TokenBMemory::TokenBMemory;
 
-    /** Soft-state entry for one block (exposed for tests). */
-    struct SoftState
+    /** Soft-state view of one block (tests). */
+    struct SoftView
     {
         NodeId probableOwner = invalidNode;
-        std::set<NodeId> probableSharers;
+        std::vector<NodeId> probableSharers;   ///< ascending
     };
 
-    const SoftState *softState(Addr addr) const;
+    /** The soft state of @p addr's block, if it has one. */
+    std::optional<SoftView> softState(Addr addr) const;
 
     void
     resetState(const ProtocolParams &params) override
     {
         TokenBMemory::resetState(params);
         soft_.clear();
+        sharerPool_.clear();
     }
 
   protected:
     void handleTransient(const Message &msg) override;
 
   private:
+    struct SoftState
+    {
+        NodeId probableOwner = invalidNode;
+        NodeMask probableSharers;   ///< in sharerPool_
+    };
+
     BlockMap<SoftState> soft_;
+    NodeMaskPool sharerPool_{ctx_.numNodes};
+    /** Forward targets of the request being handled. */
+    std::vector<std::uint64_t> targets_;
 };
 
 /** The null performance protocol: persistent requests do all the work. */

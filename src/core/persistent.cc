@@ -39,14 +39,18 @@ PersistentArbiter::onRequest(const Message &msg)
     // block is not enqueued again.
     if (b.phase != Phase::idle && b.requester == msg.requester)
         return;
-    if (std::find(b.queue.begin(), b.queue.end(), msg.requester) !=
-        b.queue.end()) {
+    bool queued = false;
+    std::uint64_t depth = 1;
+    queuePool_.forEach(b.queue, [&](NodeId n) {
+        queued = queued || n == msg.requester;
+        ++depth;
+    });
+    if (queued)
         return;
-    }
 
-    b.queue.push_back(msg.requester);
+    queuePool_.push(b.queue, msg.requester);
     arbStats_.maxQueueDepth =
-        std::max<std::uint64_t>(arbStats_.maxQueueDepth, b.queue.size());
+        std::max<std::uint64_t>(arbStats_.maxQueueDepth, depth);
     if (b.phase == Phase::idle)
         activateNext(msg.addr, b);
 }
@@ -57,8 +61,7 @@ PersistentArbiter::activateNext(Addr addr, BlockArb &b)
     assert(b.phase == Phase::idle);
     if (b.queue.empty())
         return;
-    b.requester = b.queue.front();
-    b.queue.pop_front();
+    b.requester = queuePool_.pop(b.queue);
     b.phase = Phase::activating;
     b.acksPending = ctx_.numNodes;
     b.doneReceived = false;

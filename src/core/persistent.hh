@@ -24,13 +24,11 @@
 #define TOKENSIM_CORE_PERSISTENT_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 
 #include "mem/block_map.hh"
 #include "net/message.hh"
 #include "proto/context.hh"
-#include "sim/small_queue.hh"
+#include "proto/home_state.hh"
 #include "sim/types.hh"
 
 namespace tokensim {
@@ -76,6 +74,7 @@ class PersistentArbiter
         for (auto entry : blocks_)
             entry.second.bcastTimer.cancel();
         blocks_.clear();
+        queuePool_.clear();
         arbStats_ = ArbiterStats{};
     }
 
@@ -117,7 +116,7 @@ class PersistentArbiter
         NodeId requester = invalidNode;
         int acksPending = 0;
         bool doneReceived = false;
-        SmallQueue<NodeId> queue;
+        WaitFifo queue;   ///< in queuePool_
         /**
          * Controller-latency delay before the activation/deactivation
          * broadcast leaves this arbiter. The phases serialize, so one
@@ -146,6 +145,7 @@ class PersistentArbiter
     ProtoContext &ctx_;
     NodeId id_;
     BlockMap<BlockArb> blocks_;
+    WaitPool<NodeId> queuePool_;
     ArbiterStats arbStats_;
 };
 

@@ -350,7 +350,8 @@ DirMemory::DirMemory(ProtoContext &ctx, NodeId id,
     : MemoryController(ctx, id, strformat("dirmem.%u", id)),
       params_(params),
       store_(ctx.blockBytes),
-      dram_(ctx.dram)
+      dram_(ctx.dram),
+      sharerPool_(ctx.numNodes)
 {
 }
 
@@ -361,6 +362,8 @@ DirMemory::resetState(const ProtocolParams &params)
     store_.clear();
     dram_ = Dram(ctx_.dram);
     entries_.clear();
+    sharerPool_.clear();
+    waitPool_.clear();
 }
 
 DirMemory::DirEntry &
@@ -384,7 +387,7 @@ DirMemory::handleMessage(const Message &msg)
       case MsgType::getM: {
         DirEntry &e = entryFor(msg.addr);
         if (e.busy) {
-            e.queue.push_back(msg);
+            waitPool_.push(e.queue, msg);
             return;
         }
         processRequest(msg);
@@ -397,7 +400,7 @@ DirMemory::handleMessage(const Message &msg)
       case MsgType::putM: {
         DirEntry &e = entryFor(msg.addr);
         if (e.busy) {
-            e.queue.push_back(msg);
+            waitPool_.push(e.queue, msg);
             return;
         }
         handlePutM(msg);
@@ -428,22 +431,20 @@ DirMemory::processRequest(const Message &msg)
         return;
     }
 
-    // GetM.
-    std::set<NodeId> to_inval = e.sharers;
-    to_inval.erase(req);
-    const int acks = static_cast<int>(to_inval.size());
+    // GetM: every sharer but the requester invalidates and acks.
+    const int acks = static_cast<int>(
+        sharerPool_.count(e.sharers) -
+        (sharerPool_.contains(e.sharers, req) ? 1 : 0));
 
     if (e.owner == invalidNode) {
         sendMemoryData(msg, true, acks);
-        sendInvs(ba, to_inval, req);
     } else if (e.owner == req) {
         // Upgrade by the current (Owned-state) owner: dataless grant.
         sendGrant(msg, acks);
-        sendInvs(ba, to_inval, req);
     } else {
         sendFwd(msg, MsgType::fwdGetM, acks);
-        sendInvs(ba, to_inval, req);
     }
+    sendInvs(ba, e, req);
 }
 
 void
@@ -456,9 +457,9 @@ DirMemory::handleUnblock(const Message &msg)
 
     if (msg.type == MsgType::unblockExclusive) {
         e.owner = msg.requester;
-        e.sharers.clear();
+        sharerPool_.clear(e.sharers);
     } else {
-        e.sharers.insert(msg.requester);
+        sharerPool_.insert(e.sharers, msg.requester);
     }
     e.busy = false;
     e.pendingRequester = invalidNode;
@@ -496,8 +497,7 @@ DirMemory::serviceNext(Addr addr)
 {
     DirEntry &e = entryFor(addr);
     while (!e.busy && !e.queue.empty()) {
-        Message next = e.queue.front();
-        e.queue.pop_front();
+        const Message next = waitPool_.pop(e.queue);
         if (next.type == MsgType::putM)
             handlePutM(next);
         else
@@ -546,10 +546,11 @@ DirMemory::sendFwd(const Message &req, MsgType fwd_type, int ack_count)
 }
 
 void
-DirMemory::sendInvs(Addr addr, const std::set<NodeId> &targets,
-                    NodeId requester)
+DirMemory::sendInvs(Addr addr, const DirEntry &e, NodeId requester)
 {
-    for (NodeId t : targets) {
+    sharerPool_.forEach(e.sharers, [&](NodeId t) {
+        if (t == requester)
+            return;
         Message msg;
         msg.type = MsgType::inv;
         msg.cls = MsgClass::request;
@@ -559,7 +560,7 @@ DirMemory::sendInvs(Addr addr, const std::set<NodeId> &targets,
         msg.requester = requester;
         msg.src = id_;
         sendAfter(ctx_.ctrlLatency + dirLatency(), msg);
-    }
+    });
 }
 
 void
@@ -592,8 +593,8 @@ DirMemory::view(Addr addr) const
     if (it != entries_.end()) {
         v.busy = it->second.busy;
         v.owner = it->second.owner;
-        v.sharers.assign(it->second.sharers.begin(),
-                         it->second.sharers.end());
+        sharerPool_.forEach(it->second.sharers,
+                            [&](NodeId s) { v.sharers.push_back(s); });
     }
     return v;
 }
@@ -673,7 +674,7 @@ DirCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
                 oc->notifyLineRemoved(ba);
                 oc->l2_.invalidate(ba);
                 e.owner = id_;
-                e.sharers.clear();
+                mem->sharerPool_.clear(e.sharers);
                 DirLine *nl = line ? line : functionalAlloc(ba, env);
                 nl->state = DirCacheState::M;
                 nl->written = false;
@@ -682,7 +683,7 @@ DirCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
             }
             ol->state = DirCacheState::O;
         }
-        e.sharers.insert(id_);
+        mem->sharerPool_.insert(e.sharers, id_);
         DirLine *nl = line ? line : functionalAlloc(ba, env);
         nl->state = DirCacheState::S;
         nl->written = false;
@@ -693,16 +694,16 @@ DirCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
     // GetM: sharers invalidate, the owner (us on an upgrade, a peer,
     // or memory) supplies data, and the directory records us as the
     // exclusive owner.
-    for (NodeId s : e.sharers) {
+    mem->sharerPool_.forEach(e.sharers, [&](NodeId s) {
         if (s == id_)
-            continue;
+            return;
         auto *sc = static_cast<DirCache *>(env.caches[s]);
         if (sc->l2_.find(ba)) {
             sc->notifyLineRemoved(ba);
             sc->l2_.invalidate(ba);
         }
         // Silently dropped sharer copies just ack in detailed mode.
-    }
+    });
     if (e.owner != invalidNode && e.owner != id_) {
         auto *oc = static_cast<DirCache *>(env.caches[e.owner]);
         [[maybe_unused]] DirLine *ol = oc->l2_.find(ba);
@@ -714,7 +715,7 @@ DirCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
     // An upgrade (e.owner == id_) keeps local data; otherwise the
     // incoming data is immediately overwritten by the store anyway.
     e.owner = id_;
-    e.sharers.clear();
+    mem->sharerPool_.clear(e.sharers);
 
     DirLine *nl = line ? line : functionalAlloc(ba, env);
     nl->state = DirCacheState::M;
@@ -809,9 +810,9 @@ DirMemory::encodeWarmState(WireWriter &w) const
         w.boolean(e.owner != invalidNode);
         if (e.owner != invalidNode)
             w.varint(e.owner);
-        w.varint(e.sharers.size());
-        for (NodeId s : e.sharers)   // std::set: already ascending
-            w.varint(s);
+        w.varint(sharerPool_.count(e.sharers));
+        sharerPool_.forEach(e.sharers,   // ascending
+                            [&](NodeId s) { w.varint(s); });
     }
     putStructEnd(w);
 }
@@ -862,7 +863,7 @@ DirMemory::decodeWarmState(WireReader &r)
             if (j > 0 && s <= sprev)
                 throw WireError("directory sharers not ascending");
             sprev = static_cast<NodeId>(s);
-            e.sharers.insert(static_cast<NodeId>(s));
+            sharerPool_.insert(e.sharers, static_cast<NodeId>(s));
         }
     }
     checkStructEnd(r, "directory memory warm state");

@@ -22,16 +22,14 @@
 #define TOKENSIM_PROTO_DIRECTORY_DIRECTORY_HH
 
 #include <cstdint>
-#include <deque>
-#include <set>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "mem/block_map.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "proto/controller.hh"
-#include "sim/small_queue.hh"
+#include "proto/home_state.hh"
 
 namespace tokensim {
 
@@ -142,6 +140,10 @@ class DirMemory : public MemoryController
     };
     DirView view(Addr addr) const;
 
+    /** Most requests ever queued at once across this home's blocks
+     *  (tests: wait storage must not grow with run length). */
+    std::size_t waitPoolHighWater() const { return waitPool_.highWater(); }
+
     bool
     quiescent() const
     {
@@ -157,14 +159,16 @@ class DirMemory : public MemoryController
      *  backing store. */
     friend class DirCache;
 
+    /** Per-block state; sharers and queue live in the pools below. */
     struct DirEntry
     {
         NodeId owner = invalidNode;
-        std::set<NodeId> sharers;
-        bool busy = false;
         NodeId pendingRequester = invalidNode;
-        SmallQueue<Message> queue;
+        NodeMask sharers;
+        WaitFifo queue;
+        bool busy = false;
     };
+    static_assert(std::is_trivially_copyable_v<DirEntry>);
 
     DirEntry &entryFor(Addr addr);
 
@@ -179,14 +183,16 @@ class DirMemory : public MemoryController
     void sendMemoryData(const Message &req, bool exclusive,
                         int ack_count);
     void sendFwd(const Message &req, MsgType fwd_type, int ack_count);
-    void sendInvs(Addr addr, const std::set<NodeId> &targets,
-                  NodeId requester);
+    /** Invalidate every sharer of @p e but @p requester. */
+    void sendInvs(Addr addr, const DirEntry &e, NodeId requester);
     void sendGrant(const Message &req, int ack_count);
 
     ProtocolParams params_;
     BackingStore store_;
     Dram dram_;
     BlockMap<DirEntry> entries_;
+    NodeMaskPool sharerPool_;
+    WaitPool<Message> waitPool_;
 };
 
 } // namespace tokensim

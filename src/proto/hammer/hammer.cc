@@ -359,6 +359,7 @@ HammerMemory::resetState(const ProtocolParams &params)
     store_.clear();
     dram_ = Dram(ctx_.dram);
     entries_.clear();
+    waitPool_.clear();
 }
 
 HammerMemory::HomeEntry &
@@ -377,7 +378,7 @@ HammerMemory::handleMessage(const Message &msg)
       case MsgType::putM: {
         HomeEntry &e = entryFor(msg.addr);
         if (e.busy) {
-            e.queue.push_back(msg);
+            waitPool_.push(e.queue, msg);
             return;
         }
         if (msg.type == MsgType::putM)
@@ -483,8 +484,7 @@ HammerMemory::serviceNext(Addr addr)
 {
     HomeEntry &e = entryFor(addr);
     while (!e.busy && !e.queue.empty()) {
-        Message next = e.queue.front();
-        e.queue.pop_front();
+        const Message next = waitPool_.pop(e.queue);
         if (next.type == MsgType::putM)
             handlePutM(next);
         else

@@ -28,14 +28,13 @@
 #define TOKENSIM_PROTO_HAMMER_HAMMER_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <type_traits>
 
 #include "mem/block_map.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "proto/controller.hh"
-#include "sim/small_queue.hh"
+#include "proto/home_state.hh"
 
 namespace tokensim {
 
@@ -138,6 +137,10 @@ class HammerMemory : public MemoryController
     void encodeWarmState(WireWriter &w) const override;
     void decodeWarmState(WireReader &r) override;
 
+    /** Most requests ever queued at once across this home's blocks
+     *  (tests: wait storage must not grow with run length). */
+    std::size_t waitPoolHighWater() const { return waitPool_.highWater(); }
+
     bool
     quiescent() const
     {
@@ -153,13 +156,15 @@ class HammerMemory : public MemoryController
      *  store. */
     friend class HammerCache;
 
+    /** Per-block state; the queue lives in waitPool_. */
     struct HomeEntry
     {
         bool busy = false;
         NodeId pendingRequester = invalidNode;
         NodeId owner = invalidNode;   ///< last exclusive owner
-        SmallQueue<Message> queue;
+        WaitFifo queue;
     };
+    static_assert(std::is_trivially_copyable_v<HomeEntry>);
 
     HomeEntry &entryFor(Addr addr);
 
@@ -172,6 +177,7 @@ class HammerMemory : public MemoryController
     BackingStore store_;
     Dram dram_;
     BlockMap<HomeEntry> entries_;
+    WaitPool<Message> waitPool_;
 };
 
 } // namespace tokensim

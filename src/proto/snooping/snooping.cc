@@ -404,6 +404,7 @@ SnoopMemory::resetState(const ProtocolParams &params)
     store_.clear();
     dram_ = Dram(ctx_.dram);
     blocks_.clear();
+    waitPool_.clear();
 }
 
 SnoopMemory::MemBlock &
@@ -422,7 +423,7 @@ SnoopMemory::handleMessage(const Message &msg)
         MemBlock &mb = blockFor(ba);
         if (mb.owner == invalidNode) {
             if (mb.wbPending)
-                mb.waiting.push_back(msg);
+                waitPool_.push(mb.waiting, msg);
             else
                 respondData(msg);
         }
@@ -432,7 +433,7 @@ SnoopMemory::handleMessage(const Message &msg)
         MemBlock &mb = blockFor(ba);
         if (mb.owner == invalidNode) {
             if (mb.wbPending)
-                mb.waiting.push_back(msg);
+                waitPool_.push(mb.waiting, msg);
             else
                 respondData(msg);
         }
@@ -455,11 +456,8 @@ SnoopMemory::handleMessage(const Message &msg)
         store_.write(ba, msg.data);
         dram_.access(ctx_.now());
         mb.wbPending = false;
-        while (!mb.waiting.empty()) {
-            Message queued = mb.waiting.front();
-            mb.waiting.pop_front();
-            respondData(queued);
-        }
+        while (!mb.waiting.empty())
+            respondData(waitPool_.pop(mb.waiting));
         break;
       }
       default:

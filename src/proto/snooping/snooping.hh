@@ -33,16 +33,14 @@
 #define TOKENSIM_PROTO_SNOOPING_SNOOPING_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <type_traits>
 #include <vector>
 
 #include "mem/block_map.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "proto/controller.hh"
-#include "sim/small_queue.hh"
+#include "proto/home_state.hh"
 
 namespace tokensim {
 
@@ -161,16 +159,22 @@ class SnoopMemory : public MemoryController
     /** True if memory would respond to a request for @p addr. */
     bool memoryOwns(Addr addr) const;
 
+    /** Most requests ever queued at once across this home's blocks
+     *  (tests: wait storage must not grow with run length). */
+    std::size_t waitPoolHighWater() const { return waitPool_.highWater(); }
+
   private:
     /** Fast-forward reaches straight into the home's owner table and
      *  backing store. */
     friend class SnoopCache;
+    /** Per-block state; the waiting requests live in waitPool_. */
     struct MemBlock
     {
         NodeId owner = invalidNode;   ///< invalidNode = memory owns
         bool wbPending = false;
-        SmallQueue<Message> waiting;
+        WaitFifo waiting;
     };
+    static_assert(std::is_trivially_copyable_v<MemBlock>);
 
     MemBlock &blockFor(Addr addr);
     void respondData(const Message &req);
@@ -179,6 +183,7 @@ class SnoopMemory : public MemoryController
     BackingStore store_;
     Dram dram_;
     BlockMap<MemBlock> blocks_;
+    WaitPool<Message> waitPool_;
 };
 
 } // namespace tokensim

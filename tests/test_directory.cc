@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "proto/directory/directory.hh"
 #include "proto_test_util.hh"
@@ -38,6 +40,52 @@ dirConfig(int nodes = 4)
 }
 
 constexpr Addr kBlock = 0x400;   // home 0 on 4 nodes
+
+/** A node's delivery endpoint that also logs, in delivery order, the
+ *  messages of one type it receives. */
+class LoggingEndpoint : public NetworkEndpoint
+{
+  public:
+    LoggingEndpoint(System &sys, NodeId id, MsgType type,
+                    std::vector<Message> &log)
+        : node_(sys.ctx(), id, &sys.cache(id), &sys.memory(id)),
+          type_(type), log_(log)
+    {}
+
+    void
+    deliver(const Message &msg) override
+    {
+        if (msg.type == type_)
+            log_.push_back(msg);
+        node_.deliver(msg);
+    }
+
+  private:
+    Node node_;
+    MsgType type_;
+    std::vector<Message> &log_;
+};
+
+/** Wrap every node of @p sys in a LoggingEndpoint for @p type. */
+std::vector<std::unique_ptr<LoggingEndpoint>>
+logDeliveries(System &sys, MsgType type, std::vector<Message> &log)
+{
+    std::vector<std::unique_ptr<LoggingEndpoint>> eps;
+    for (int i = 0; i < sys.numNodes(); ++i) {
+        const auto id = static_cast<NodeId>(i);
+        eps.push_back(
+            std::make_unique<LoggingEndpoint>(sys, id, type, log));
+        sys.net().attach(id, eps.back().get());
+    }
+    return eps;
+}
+
+std::uint64_t
+messagesOfType(ProtoDriver &d, MsgType type)
+{
+    return d.sys->net().traffic()
+        .messagesByType[static_cast<std::size_t>(type)];
+}
 
 TEST(Directory, ColdLoadRecordsSharer)
 {
@@ -257,6 +305,78 @@ TEST(Directory, SilentSharerDropStillAcksInvalidation)
     EXPECT_TRUE(r.wasMiss);
     EXPECT_EQ(dcache(d, 2).state(0x000), DirCacheState::M);
     d.drain();
+}
+
+TEST(Directory, WideSharerMasksInvalidateInAscendingOrder)
+{
+    // 130 nodes: sharer masks span three 64-bit words, and the sharers
+    // sit on both sides of each word boundary. On the tree every
+    // unicast crosses four links, so with unlimited bandwidth all the
+    // invalidations land on one tick, in the order the home sent them.
+    SystemConfig cfg = dirConfig(130);
+    cfg.topology = "tree";
+    cfg.net.unlimitedBandwidth = true;
+    ProtoDriver d(cfg);
+    const NodeId home = d.sys->ctx().home(kBlock);
+    for (NodeId n : {129u, 63u, 128u, 64u, 127u})
+        d.load(n, kBlock);
+    d.drain();
+    EXPECT_EQ(dmem(d, home).view(kBlock).sharers,
+              (std::vector<NodeId>{63, 64, 127, 128, 129}));
+
+    std::vector<Message> invs;
+    const auto eps = logDeliveries(*d.sys, MsgType::inv, invs);
+    const std::uint64_t acks_before = messagesOfType(d, MsgType::invAck);
+    d.store(128, kBlock, 0x5);
+    d.drain();
+
+    // Every sharer but the requester, ascending, each acked once.
+    std::vector<NodeId> dests;
+    for (const Message &m : invs) {
+        dests.push_back(m.dest);
+        EXPECT_EQ(m.requester, 128u);
+        EXPECT_EQ(m.sentAt, invs.front().sentAt);
+    }
+    EXPECT_EQ(dests, (std::vector<NodeId>{63, 64, 127, 129}));
+    EXPECT_EQ(messagesOfType(d, MsgType::invAck) - acks_before, 4u);
+    for (NodeId n : {63u, 64u, 127u, 129u})
+        EXPECT_EQ(dcache(d, n).state(kBlock), DirCacheState::I);
+    EXPECT_EQ(dcache(d, 128).state(kBlock), DirCacheState::M);
+    const auto v = dmem(d, home).view(kBlock);
+    EXPECT_EQ(v.owner, 128u);
+    EXPECT_TRUE(v.sharers.empty());
+}
+
+TEST(Directory, ThreeDeepRaceDrainsInArrivalOrder)
+{
+    // Four stores to one block at once: the home serves the first and
+    // queues three. Each must complete in the order its request
+    // reached the home.
+    ProtoDriver d(dirConfig());
+    std::vector<Message> arrivals;
+    const auto eps = logDeliveries(*d.sys, MsgType::getM, arrivals);
+    for (NodeId n : {3u, 1u, 2u, 0u})
+        d.issue(n, MemOp::store, kBlock, 0x100 + n);
+    for (NodeId n = 0; n < 4; ++n)
+        ASSERT_TRUE(d.runUntilCompletions(n, 1)) << "node " << n;
+    d.drain();
+    EXPECT_EQ(dmem(d, 0).waitPoolHighWater(), 3u);
+
+    ASSERT_EQ(arrivals.size(), 4u);
+    std::vector<NodeId> arrived, completed;
+    for (const Message &m : arrivals)
+        arrived.push_back(m.requester);
+    for (NodeId n = 0; n < 4; ++n)
+        completed.push_back(n);
+    std::sort(completed.begin(), completed.end(),
+              [&](NodeId a, NodeId b) {
+                  return d.completions[a][0].completedAt <
+                      d.completions[b][0].completedAt;
+              });
+    EXPECT_EQ(completed, arrived);
+    // The last to arrive wrote last.
+    EXPECT_EQ(d.load(arrived.front(), kBlock).value,
+              0x100u + arrived.back());
 }
 
 } // namespace

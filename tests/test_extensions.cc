@@ -40,8 +40,10 @@ TEST(TokenD, SoftStateRedirectsToOwner)
     ProtoDriver d(smallConfig(ProtocolKind::tokenD));
     d.store(1, kBlock, 0xaa);   // soft state: probable owner = 1
     auto &mem = dynamic_cast<TokenDMemory &>(d.sys->memory(0));
-    ASSERT_NE(mem.softState(kBlock), nullptr);
-    EXPECT_EQ(mem.softState(kBlock)->probableOwner, 1u);
+    const auto ss = mem.softState(kBlock);
+    ASSERT_TRUE(ss.has_value());
+    EXPECT_EQ(ss->probableOwner, 1u);
+    EXPECT_TRUE(ss->probableSharers.empty());   // a store clears them
     // A second requester is redirected to node 1 and completes
     // cache-to-cache.
     const ProcResponse r = d.load(2, kBlock);

@@ -124,33 +124,49 @@ TEST(SystemReuse, ResetRunIsBitIdenticalToFreshConstructRun)
     // The reusable-System path (System::reset + run) must produce raw
     // statistics bit-identical to destroying and rebuilding the
     // System — across multiple seeds AND across configs that share a
-    // structural shape but differ in runtime knobs.
-    SystemConfig a;
-    a.numNodes = 8;
-    a.protocol = ProtocolKind::tokenB;
-    a.workload = "uniform";
-    a.workload.uniformBlocks = 128;
-    a.opsPerProcessor = 300;
-    a.seed = 5;
+    // structural shape but differ in runtime knobs — on every
+    // protocol, since each controller's resetState must also empty
+    // its pooled per-block state.
+    const ProtocolKind protos[] = {
+        ProtocolKind::snooping, ProtocolKind::directory,
+        ProtocolKind::hammer,   ProtocolKind::tokenB,
+        ProtocolKind::tokenD,   ProtocolKind::tokenM,
+        ProtocolKind::tokenA,   ProtocolKind::tokenNull,
+    };
+    for (ProtocolKind proto : protos) {
+        SCOPED_TRACE(protocolName(proto));
+        SystemConfig a;
+        a.numNodes = 8;
+        a.topology = proto == ProtocolKind::snooping ? "tree" : "torus";
+        a.protocol = proto;
+        a.workload = "uniform";
+        a.workload.uniformBlocks = 128;
+        a.opsPerProcessor = 300;
+        a.seed = 5;
 
-    SystemConfig b = a;   // same shape, different runtime knobs
-    b.workload = "oltp";
-    b.opsPerProcessor = 200;
-    b.net.unlimitedBandwidth = true;
-    b.proto.maxReissues = 2;
-    b.seed = 40;
+        SystemConfig b = a;   // same shape, different runtime knobs
+        b.workload = "oltp";
+        b.opsPerProcessor = 200;
+        b.net.unlimitedBandwidth = true;
+        b.proto.maxReissues = 2;
+        b.seed = 40;
 
-    std::unique_ptr<System> reused;
-    for (const SystemConfig &cfg : {a, b}) {
-        for (std::uint64_t seed : {cfg.seed, cfg.seed + 1}) {
-            SCOPED_TRACE(cfg.workload.name() + "/" +
-                         std::to_string(seed));
-            expectRawIdentical(runOnceReusing(reused, cfg, seed),
-                               runOnce(cfg, seed));
+        std::unique_ptr<System> reused;
+        const System *first = nullptr;
+        for (const SystemConfig &cfg : {a, b}) {
+            for (std::uint64_t seed : {cfg.seed, cfg.seed + 1}) {
+                SCOPED_TRACE(cfg.workload.name() + "/" +
+                             std::to_string(seed));
+                expectRawIdentical(runOnceReusing(reused, cfg, seed),
+                                   runOnce(cfg, seed));
+                if (!first)
+                    first = reused.get();
+            }
         }
+        // The single System was reused throughout (b shares a's
+        // shape).
+        EXPECT_EQ(reused.get(), first);
     }
-    // The single System was reused throughout (b shares a's shape).
-    ASSERT_NE(reused, nullptr);
 }
 
 TEST(SystemReuse, ShapeMismatchRejectsReset)

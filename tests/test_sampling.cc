@@ -28,6 +28,7 @@
 #include "harness/parallel_runner.hh"
 #include "harness/snapshot.hh"
 #include "harness/system.hh"
+#include "proto/directory/directory.hh"
 
 namespace tokensim {
 namespace {
@@ -247,6 +248,45 @@ TEST(Snapshot, RoundTripsThroughTheCodec)
         loadWarmSnapshot(b, snap);
         EXPECT_EQ(saveWarmSnapshot(b), snap) << protocolName(proto);
     }
+}
+
+TEST(Snapshot, WideDirectoryMasksRoundTrip)
+{
+    // 130 nodes: the directory's sharer masks span three words. The
+    // snapshot lists sharers ascending; reloading must rebuild the
+    // same masks, re-encode to the same bytes, and run identically.
+    SystemConfig cfg = baseCfg(ProtocolKind::directory, "uniform");
+    cfg.numNodes = 130;
+    cfg.workload.uniformBlocks = 64;
+    cfg.workload.storeFraction = 0.02;
+    cfg.opsPerProcessor = 40;
+    System a(cfg);
+    a.fastForward(60);
+
+    // Some block is shared on both sides of a mask-word boundary.
+    bool straddles = false;
+    for (Addr blk = 0; blk < 64; ++blk) {
+        const Addr addr = blk * 64;
+        const auto v = dynamic_cast<DirMemory &>(
+            a.memory(a.ctx().home(addr))).view(addr);
+        if (!v.sharers.empty() && v.sharers.front() < 64 &&
+            v.sharers.back() >= 128)
+            straddles = true;
+    }
+    EXPECT_TRUE(straddles);
+
+    const std::string snap = saveWarmSnapshot(a);
+    SystemConfig warmed = cfg;
+    warmed.warmSnapshot = share(snap);
+    System b(cfg);
+    ASSERT_TRUE(b.reset(warmed));
+    loadWarmSnapshot(b, snap);
+    EXPECT_EQ(saveWarmSnapshot(b), snap);
+
+    System restored(warmed);
+    a.run();
+    restored.run();
+    EXPECT_TRUE(a.results().metrics == restored.results().metrics);
 }
 
 TEST(Snapshot, ReusableAcrossTimingConfigs)

@@ -9,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <tuple>
 
 #include "harness/experiment.hh"
 #include "harness/system.hh"
+#include "proto/directory/directory.hh"
+#include "proto/hammer/hammer.hh"
+#include "proto/snooping/snooping.hh"
 
 namespace tokensim {
 namespace {
@@ -252,6 +256,61 @@ TEST(SystemConfigErrors, RejectsInvalidLinkBandwidth)
     EXPECT_THROW(sys.reset(cfg), std::invalid_argument);
     cfg.net.unlimitedBandwidth = true;
     EXPECT_NO_THROW(System{cfg});
+}
+
+/** The most requests queued at once at any home of @p sys. */
+std::size_t
+maxWaitPoolHighWater(System &sys)
+{
+    std::size_t most = 0;
+    for (int n = 0; n < sys.numNodes(); ++n) {
+        MemoryController &m = sys.memory(static_cast<NodeId>(n));
+        std::size_t hw = 0;
+        if (auto *d = dynamic_cast<DirMemory *>(&m))
+            hw = d->waitPoolHighWater();
+        else if (auto *h = dynamic_cast<HammerMemory *>(&m))
+            hw = h->waitPoolHighWater();
+        else if (auto *s = dynamic_cast<SnoopMemory *>(&m))
+            hw = s->waitPoolHighWater();
+        else
+            ADD_FAILURE() << "not a queueing home controller";
+        most = std::max(most, hw);
+    }
+    return most;
+}
+
+TEST(HomeWaitPool, StorageFollowsWaitingRequestsNotRunLength)
+{
+    // Every node hammers one block, so its home queues requests the
+    // whole run. Wait storage must stop at the most requests waiting
+    // at once (at most every outstanding request in the machine), not
+    // grow with the number that passed through.
+    for (ProtocolKind proto : {ProtocolKind::directory,
+                               ProtocolKind::hammer,
+                               ProtocolKind::snooping}) {
+        SCOPED_TRACE(protocolName(proto));
+        const char *topo =
+            proto == ProtocolKind::snooping ? "tree" : "torus";
+        SystemConfig cfg = baseConfig(proto, topo, "hot");
+        cfg.numNodes = 16;
+        cfg.opsPerProcessor = 400;
+        System sys(cfg);
+        sys.run();
+        cfg.opsPerProcessor = 1600;
+        System longer(cfg);
+        longer.run();
+        const std::size_t high = maxWaitPoolHighWater(sys);
+        EXPECT_EQ(maxWaitPoolHighWater(longer), high);
+        EXPECT_LE(high, static_cast<std::size_t>(
+                            cfg.numNodes * cfg.seq.maxOutstanding));
+
+        // Reset empties the pools: a run without contention on the
+        // reset System has never queued anything.
+        cfg.workload = "private";
+        ASSERT_TRUE(sys.reset(cfg));
+        sys.run();
+        EXPECT_EQ(maxWaitPoolHighWater(sys), 0u);
+    }
 }
 
 } // namespace
