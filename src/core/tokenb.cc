@@ -1018,65 +1018,38 @@ TokenBCache::encodeWarmState(WireWriter &w) const
     if (!quiescent() || !persistentTable_.empty() ||
         !persistDoneSent_.empty())
         throw WireError("token cache has transactions in flight");
-    w.varint(l2_.useCounter());
-    w.varint(l2_.validCount());
-    l2_.forEachValidIndexed(
-        [&](std::size_t way, std::uint64_t stamp, const TokenLine &l) {
-            w.varint(way);
-            w.varint(stamp);
-            w.varint(l.addr);
-            w.varint(static_cast<std::uint64_t>(l.tokens));
-            w.boolean(l.owner);
-            w.boolean(l.validData);
-            w.boolean(l.dirty);
-            w.varint(l.data);
-        });
+    l2_.encodeWays(w, [](WireWriter &out, const TokenLine &l) {
+        out.varint(static_cast<std::uint64_t>(l.tokens));
+        out.boolean(l.owner);
+        out.boolean(l.validData);
+        out.boolean(l.dirty);
+        out.varint(l.data);
+    });
     putStructEnd(w);
 }
 
 void
 TokenBCache::decodeWarmState(WireReader &r)
 {
-    l2_.setUseCounter(r.varint("l2 use counter"));
-    const std::uint64_t count = r.varint("l2 line count");
-    if (count > l2_.wayCount())
-        throw WireError("l2 line count exceeds the array's ways");
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t way = r.varint("l2 way index");
-        const std::uint64_t stamp = r.varint("l2 lru stamp");
-        const Addr addr = r.varint("l2 line address");
-        const std::uint64_t tokens = r.varint("token line count");
-        const bool owner = r.boolean("token line owner");
-        const bool validData = r.boolean("token line validData");
-        const bool dirty = r.boolean("token line dirty");
-        const std::uint64_t data = r.varint("token line data");
-        if (way >= l2_.wayCount())
-            throw WireError("l2 way index out of range");
-        if (l2_.wayValid(way))
-            throw WireError("duplicate l2 way in snapshot");
-        if (ctx_.blockAlign(addr) != addr)
-            throw WireError("l2 line address not block-aligned");
-        if (!l2_.wayMatchesSet(way, addr))
-            throw WireError("l2 line mapped to the wrong set");
-        if (l2_.contains(addr))
-            throw WireError("duplicate l2 block in snapshot");
-        if (stamp > l2_.useCounter())
-            throw WireError("l2 lru stamp exceeds the use counter");
-        if (tokens < 1 || tokens > static_cast<std::uint64_t>(t_))
-            throw WireError("token count outside [1, T]");
-        if (validData && tokens < 1)
-            throw WireError("valid data without a token");
-        TokenLine *l = l2_.restoreWay(static_cast<std::size_t>(way),
-                                      addr, stamp);
-        holders_.add(addr, id_);
-        l->tokens = static_cast<int>(tokens);
-        l->owner = owner;
-        l->validData = validData;
-        l->dirty = dirty;
-        l->data = data;
-        if (auditor_)
-            auditor_->touch(addr);
-    }
+    l2_.decodeWays(
+        r,
+        [&](WireReader &in) {
+            TokenLine l;
+            const std::uint64_t tokens = in.varint("token line count");
+            l.owner = in.boolean("token line owner");
+            l.validData = in.boolean("token line validData");
+            l.dirty = in.boolean("token line dirty");
+            l.data = in.varint("token line data");
+            if (tokens < 1 || tokens > static_cast<std::uint64_t>(t_))
+                throw WireError("token count outside [1, T]");
+            l.tokens = static_cast<int>(tokens);
+            return l;
+        },
+        [&](const TokenLine &l) {
+            holders_.add(l.addr, id_);
+            if (auditor_)
+                auditor_->touch(l.addr);
+        });
     checkStructEnd(r, "token cache warm state");
 }
 
@@ -1085,17 +1058,7 @@ TokenBMemory::encodeWarmState(WireWriter &w) const
 {
     if (!persistentTable_.empty() || !arbiter_.quiescent())
         throw WireError("token memory has persistent activity");
-    std::vector<std::pair<Addr, std::uint64_t>> written;
-    for (const auto &[a, v] : store_.blocks()) {
-        if (v != BackingStore::initialValue(a))
-            written.emplace_back(a, v);
-    }
-    std::sort(written.begin(), written.end());
-    w.varint(written.size());
-    for (const auto &[a, v] : written) {
-        w.varint(a);
-        w.varint(v);
-    }
+    store_.encode(w);
 
     // Holdings that still equal the initial all-T state are omitted:
     // tokensFor() rematerializes them on demand, so the snapshot stays
@@ -1120,22 +1083,9 @@ TokenBMemory::encodeWarmState(WireWriter &w) const
 void
 TokenBMemory::decodeWarmState(WireReader &r)
 {
-    const std::uint64_t nwritten = r.varint("written block count");
-    Addr prev = 0;
-    for (std::uint64_t i = 0; i < nwritten; ++i) {
-        const Addr a = r.varint("written block address");
-        const std::uint64_t v = r.varint("written block value");
-        if (ctx_.blockAlign(a) != a)
-            throw WireError("written block not block-aligned");
-        if (ctx_.home(a) != id_)
-            throw WireError("written block homed elsewhere");
-        if (i > 0 && a <= prev)
-            throw WireError("written blocks not strictly ascending");
-        prev = a;
-        store_.write(a, v);
-    }
+    store_.decode(r, [&](Addr a) { return ctx_.home(a) == id_; });
     const std::uint64_t nlive = r.varint("token holding count");
-    prev = 0;
+    Addr prev = 0;
     for (std::uint64_t i = 0; i < nlive; ++i) {
         const Addr a = r.varint("token holding address");
         const std::uint64_t count = r.varint("token holding tokens");

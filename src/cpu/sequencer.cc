@@ -253,15 +253,9 @@ Sequencer::encodeWarmState(WireWriter &w) const
     if (outstanding_ != 0 || stalled_ || !busyBlocks_.empty())
         throw WireError("sequencer has operations in flight");
     w.varint(nextReqId_);
-    w.varint(l1_.useCounter());
-    w.varint(l1_.validCount());
-    l1_.forEachValidIndexed(
-        [&](std::size_t way, std::uint64_t stamp, const L1Line &line) {
-            w.varint(way);
-            w.varint(stamp);
-            w.varint(line.addr);
-            w.varint(line.data);
-        });
+    l1_.encodeWays(w, [](WireWriter &out, const L1Line &line) {
+        out.varint(line.data);
+    });
     putStructEnd(w);
 }
 
@@ -271,33 +265,11 @@ Sequencer::decodeWarmState(WireReader &r)
     nextReqId_ = r.varint("sequencer nextReqId");
     if (nextReqId_ == 0)
         throw WireError("sequencer nextReqId must be nonzero");
-    l1_.setUseCounter(r.varint("l1 use counter"));
-    const std::uint64_t count = r.varint("l1 line count");
-    if (count > l1_.wayCount()) {
-        throw WireError("l1 line count " + std::to_string(count) +
-                        " exceeds the array's " +
-                        std::to_string(l1_.wayCount()) + " ways");
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t way = r.varint("l1 way index");
-        const std::uint64_t stamp = r.varint("l1 lru stamp");
-        const Addr addr = r.varint("l1 line address");
-        const std::uint64_t data = r.varint("l1 line data");
-        if (way >= l1_.wayCount())
-            throw WireError("l1 way index out of range");
-        if (l1_.wayValid(way))
-            throw WireError("duplicate l1 way in snapshot");
-        if (l1_.blockAlign(addr) != addr)
-            throw WireError("l1 line address not block-aligned");
-        if (!l1_.wayMatchesSet(way, addr))
-            throw WireError("l1 line mapped to the wrong set");
-        if (l1_.contains(addr))
-            throw WireError("duplicate l1 block in snapshot");
-        if (stamp > l1_.useCounter())
-            throw WireError("l1 lru stamp exceeds the use counter");
-        l1_.restoreWay(static_cast<std::size_t>(way), addr, stamp)
-            ->data = data;
-    }
+    l1_.decodeWays(r, [](WireReader &in) {
+        L1Line line;
+        line.data = in.varint("l1 line data");
+        return line;
+    });
     checkStructEnd(r, "sequencer warm state");
 }
 

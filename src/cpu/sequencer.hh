@@ -5,10 +5,14 @@
  * The paper evaluates with TFsim: dynamically-scheduled SPARC cores
  * generating multiple outstanding coherence requests. This repository
  * substitutes a sequencer that preserves the properties the evaluation
- * depends on (DESIGN.md §1): a stream of memory operations with
- * configurable memory-level parallelism (several outstanding misses),
- * think time standing in for non-memory instructions, an L1 that
- * filters hits at 2 ns, and cycles-per-transaction accounting.
+ * depends on: a stream of memory operations with configurable
+ * memory-level parallelism (several outstanding misses), think time
+ * standing in for non-memory instructions, an L1 that filters hits at
+ * 2 ns, and cycles-per-transaction accounting. The paper's comparisons
+ * are ratios of runtime and traffic between protocols on the same
+ * op streams, and those ratios turn on how many misses overlap and how
+ * far apart they are — which these knobs set — not on the core's
+ * pipeline.
  *
  * The L1 is kept inclusive with the L2 through the cache controller's
  * line-removed callback; stores write through to the L2 (the coherence
@@ -44,7 +48,9 @@ struct SequencerParams
      * does not model individually; the default is calibrated so a
      * 16-processor commercial run offers a realistic per-processor
      * L2-miss spacing (~100-150 ns) rather than saturating the
-     * interconnect (see DESIGN.md).
+     * interconnect: with back-to-back issue every protocol would run
+     * at link saturation and the comparison would measure bandwidth
+     * alone.
      */
     Tick thinkMean = nsToTicks(10);
 

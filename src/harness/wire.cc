@@ -1,7 +1,6 @@
 #include "harness/wire.hh"
 
 #include <cstring>
-#include <memory>
 
 namespace tokensim {
 
@@ -13,15 +12,15 @@ namespace tokensim {
 
 // Layout-skew sentinel: adding a field to WorkloadSpec changes its
 // size, which fails this assert until the new field is added to
-// encodeWorkloadSpec/decodeWorkloadSpec, operator==, and wireVersion
-// is bumped. Guarded to the one ABI the sentinel value was computed
-// for — other ABIs still have the operator== doc contract and the
-// exhaustive wire round-trip tests.
+// encodeWorkloadSpec and operator==, and wireVersion is bumped.
+// Guarded to the one ABI the sentinel value was computed for — other
+// ABIs still have the operator== doc contract and the test that every
+// encoded field moves sweepFingerprint.
 #if defined(__x86_64__) && defined(__GLIBCXX__)
 static_assert(sizeof(WorkloadSpec) == 168,
-              "WorkloadSpec layout changed: update encodeWorkloadSpec/"
-              "decodeWorkloadSpec, WorkloadSpec::operator==, bump "
-              "wireVersion, then refresh this sentinel");
+              "WorkloadSpec layout changed: update encodeWorkloadSpec "
+              "and WorkloadSpec::operator==, bump wireVersion, then "
+              "refresh this sentinel");
 #endif
 
 void
@@ -46,33 +45,6 @@ encodeWorkloadSpec(WireWriter &w, const WorkloadSpec &spec)
     putStructEnd(w);
 }
 
-WorkloadSpec
-decodeWorkloadSpec(WireReader &r)
-{
-    WorkloadSpec spec;
-    spec.preset = r.str("workload preset");
-    spec.tracePath = r.str("workload trace path");
-    spec.uniformBlocks = r.varint("workload uniformBlocks");
-    spec.storeFraction = r.f64("workload storeFraction");
-    spec.prodConsBlocks = r.varint("workload prodConsBlocks");
-    spec.lockBlocks = r.varint("workload lockBlocks");
-    spec.sectionOps = static_cast<int>(r.svarint("workload sectionOps"));
-    spec.ycsbRecords = r.varint("workload ycsbRecords");
-    spec.ycsbTheta = r.f64("workload ycsbTheta");
-    spec.ycsbReadFraction = r.f64("workload ycsbReadFraction");
-    spec.ycsbUpdateFraction = r.f64("workload ycsbUpdateFraction");
-    spec.ycsbScanLen =
-        static_cast<int>(r.svarint("workload ycsbScanLen"));
-    spec.tpccWarehouses = r.varint("workload tpccWarehouses");
-    spec.tpccHomeFraction = r.f64("workload tpccHomeFraction");
-    spec.tpccOpsPerTxn =
-        static_cast<int>(r.svarint("workload tpccOpsPerTxn"));
-    spec.tpccThinkOps =
-        static_cast<int>(r.svarint("workload tpccThinkOps"));
-    checkStructEnd(r, "workload spec");
-    return spec;
-}
-
 namespace {
 
 void
@@ -82,17 +54,6 @@ encodeCacheParams(WireWriter &w, const CacheParams &c)
     w.varint(c.assoc);
     w.varint(c.blockBytes);
     w.varint(c.latency);
-}
-
-CacheParams
-decodeCacheParams(WireReader &r, const char *what)
-{
-    CacheParams c;
-    c.sizeBytes = r.varint(what);
-    c.assoc = static_cast<std::uint32_t>(r.varint(what));
-    c.blockBytes = static_cast<std::uint32_t>(r.varint(what));
-    c.latency = r.varint(what);
-    return c;
 }
 
 } // namespace
@@ -169,90 +130,6 @@ encodeSystemConfig(WireWriter &w, const SystemConfig &cfg)
     putStructEnd(w);
 }
 
-SystemConfig
-decodeSystemConfig(WireReader &r)
-{
-    SystemConfig cfg;
-    cfg.numNodes = static_cast<int>(r.svarint("numNodes"));
-    cfg.topology = r.str("topology");
-    const std::uint8_t proto_byte = r.u8("protocol");
-    if (proto_byte > static_cast<std::uint8_t>(ProtocolKind::tokenNull)) {
-        throw WireError("protocol byte " + std::to_string(proto_byte) +
-                        " out of range");
-    }
-    cfg.protocol = static_cast<ProtocolKind>(proto_byte);
-
-    ProtocolParams &p = cfg.proto;
-    p.migratoryOpt = r.boolean("migratoryOpt");
-    p.tokensPerBlock = static_cast<int>(r.svarint("tokensPerBlock"));
-    p.maxReissues = static_cast<int>(r.svarint("maxReissues"));
-    p.reissueLatencyMultiple = r.f64("reissueLatencyMultiple");
-    p.reissueJitter = r.f64("reissueJitter");
-    p.initialAvgMissLatency = r.varint("initialAvgMissLatency");
-    p.maxReissueTimeout = r.varint("maxReissueTimeout");
-    p.reissueEnabled = r.boolean("reissueEnabled");
-    p.chaosDropFraction = r.f64("chaosDropFraction");
-    p.chaosMisdirectFraction = r.f64("chaosMisdirectFraction");
-    p.perfectDirectory = r.boolean("perfectDirectory");
-    p.predictorEntries =
-        static_cast<std::uint32_t>(r.varint("predictorEntries"));
-    p.adaptiveThreshold = r.f64("adaptiveThreshold");
-    p.adaptiveWindow = r.varint("adaptiveWindow");
-
-    NetworkParams &n = cfg.net;
-    n.linkLatency = r.varint("linkLatency");
-    n.bytesPerNs = r.f64("bytesPerNs");
-    n.unlimitedBandwidth = r.boolean("unlimitedBandwidth");
-    n.ctrlBytes = static_cast<std::uint32_t>(r.varint("ctrlBytes"));
-    n.dataBytes = static_cast<std::uint32_t>(r.varint("dataBytes"));
-    n.localDelay = r.varint("localDelay");
-
-    SequencerParams &s = cfg.seq;
-    s.maxOutstanding = static_cast<int>(r.svarint("maxOutstanding"));
-    s.thinkMean = r.varint("thinkMean");
-    s.l1 = decodeCacheParams(r, "l1 geometry");
-    s.l1Enabled = r.boolean("l1Enabled");
-
-    cfg.l2 = decodeCacheParams(r, "l2 geometry");
-    cfg.dram.latency = r.varint("dram latency");
-    cfg.dram.minGap = r.varint("dram minGap");
-    cfg.ctrlLatency = r.varint("ctrlLatency");
-    cfg.blockBytes = static_cast<std::uint32_t>(r.varint("blockBytes"));
-
-    cfg.workload = decodeWorkloadSpec(r);
-    cfg.recordTrace = r.str("recordTrace");
-    cfg.opsPerProcessor = r.varint("opsPerProcessor");
-    cfg.warmupOpsPerProcessor = r.varint("warmupOpsPerProcessor");
-    cfg.seed = r.varint("seed");
-    cfg.attachAuditor = r.boolean("attachAuditor");
-    cfg.maxTicks = r.varint("maxTicks");
-
-    cfg.sampling.ffOps = r.varint("sampling ffOps");
-    cfg.sampling.measureOps = r.varint("sampling measureOps");
-    cfg.sampling.windows = r.varint("sampling windows");
-    std::string snap = r.str("warm snapshot");
-    if (!snap.empty()) {
-        cfg.warmSnapshot =
-            std::make_shared<const std::string>(std::move(snap));
-    }
-
-    const std::uint64_t num_tenants = r.varint("tenant count");
-    if (num_tenants > maxWireTenants) {
-        throw WireError("tenant count " + std::to_string(num_tenants) +
-                        " exceeds limit " +
-                        std::to_string(maxWireTenants));
-    }
-    cfg.tenants.reserve(num_tenants);
-    for (std::uint64_t i = 0; i < num_tenants; ++i) {
-        TenantSpec t;
-        t.workload = decodeWorkloadSpec(r);
-        t.nodes = static_cast<int>(r.svarint("tenant nodes"));
-        cfg.tenants.push_back(std::move(t));
-    }
-    checkStructEnd(r, "system config");
-    return cfg;
-}
-
 void
 encodeExperimentSpec(WireWriter &w, const ExperimentSpec &spec)
 {
@@ -260,17 +137,6 @@ encodeExperimentSpec(WireWriter &w, const ExperimentSpec &spec)
     w.svarint(spec.seeds);
     w.str(spec.label);
     putStructEnd(w);
-}
-
-ExperimentSpec
-decodeExperimentSpec(WireReader &r)
-{
-    ExperimentSpec spec;
-    spec.cfg = decodeSystemConfig(r);
-    spec.seeds = static_cast<int>(r.svarint("spec seeds"));
-    spec.label = r.str("spec label");
-    checkStructEnd(r, "experiment spec");
-    return spec;
 }
 
 void

@@ -1,9 +1,10 @@
 /**
  * @file
- * Sweep wire format: a compact versioned binary encoding for
- * ExperimentSpec / SystemConfig / WorkloadSpec and raw
+ * Sweep wire format: a compact versioned binary codec for raw
  * System::Results, the length-prefixed frame layer the sweep runner's
- * forked workers answer on, and the on-disk checkpoint format.
+ * forked workers answer on, the on-disk checkpoint format, and
+ * encode-only canonical forms of ExperimentSpec / SystemConfig /
+ * WorkloadSpec that the sweep and snapshot fingerprints hash.
  *
  * Same discipline as workload/trace.hh: little-endian throughout,
  * ULEB128 varints for counters, zigzag varints for signed ints,
@@ -88,27 +89,24 @@ constexpr std::uint32_t wireVersion = 6;
 /** Hard cap on one frame's payload (a corrupt length must not OOM). */
 constexpr std::uint64_t maxFramePayload = 1ull << 30;
 
-/** Hard cap on a decoded tenant list (corrupt counts must not OOM). */
-constexpr std::uint64_t maxWireTenants = 1 << 16;
-
 // ---------------------------------------------------------------------
-// Struct encodings. Each encode/decode pair must consume exactly what
-// the other produced; decode functions validate enums and ranges.
+// Spec encodings. Forked workers inherit their specs, so specs never
+// cross the wire; these canonical encodings exist to be hashed — the
+// checkpoint's sweepFingerprint and the snapshot shape fingerprint.
+// Every field that defines a run must be encoded, or two different
+// sweeps would share a fingerprint.
 // ---------------------------------------------------------------------
 
 void encodeWorkloadSpec(WireWriter &w, const WorkloadSpec &spec);
-WorkloadSpec decodeWorkloadSpec(WireReader &r);
 
 /**
  * @throws WireError if @p cfg carries a custom workloadFactory — a
  * std::function has no encoding, so such a spec cannot be
- * fingerprinted for a checkpoint either.
+ * fingerprinted for a checkpoint.
  */
 void encodeSystemConfig(WireWriter &w, const SystemConfig &cfg);
-SystemConfig decodeSystemConfig(WireReader &r);
 
 void encodeExperimentSpec(WireWriter &w, const ExperimentSpec &spec);
-ExperimentSpec decodeExperimentSpec(WireReader &r);
 
 /** A corrupt metric count must not OOM the decoder. */
 constexpr std::uint64_t maxWireMetrics = 1 << 16;

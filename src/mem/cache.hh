@@ -17,7 +17,7 @@
  *
  * Only the tag array is initialised, at construction and in clear():
  * the LRU stamp and payload of a way are never read until allocate()
- * or restoreWay() writes them, so wide systems pay neither the time
+ * or decodeWays() writes them, so wide systems pay neither the time
  * nor the resident memory of zero-filling them. Debug builds fill that
  * never-written storage with a poison pattern, so a read of an
  * unwritten way shows up as a wrong result (or a UBSan bool report).
@@ -31,9 +31,11 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
+#include "sim/bytes.hh"
 #include "sim/types.hh"
 
 namespace tokensim {
@@ -189,6 +191,19 @@ class CacheArray
     Line *
     allocate(Addr a, Victim *victim)
     {
+        return allocate(a, victim, [](const Line &) { return false; });
+    }
+
+    /**
+     * allocate() that passes over ways @p pinned(line) marks: the
+     * victim is the least-recent unpinned way. Only the LRU way is
+     * tested unless it is pinned, so the common case reads no extra
+     * payload. If every way is pinned the LRU way goes anyway.
+     */
+    template <typename Pinned>
+    Line *
+    allocate(Addr a, Victim *victim, Pinned pinned)
+    {
         const Addr ba = blockAlign(a);
         const std::size_t base = setBase(ba);
         std::size_t way = notFound;       // first invalid way
@@ -208,6 +223,16 @@ class CacheArray
         }
         if (way == notFound) {
             way = lruWay;
+            if (pinned(lines_[way])) {
+                std::uint64_t stamp = ~std::uint64_t{0};
+                for (std::size_t i = base; i < base + params_.assoc; ++i) {
+                    if (i != lruWay && lruStamp_[i] < stamp &&
+                        !pinned(lines_[i])) {
+                        stamp = lruStamp_[i];
+                        way = i;
+                    }
+                }
+            }
             if (victim) {
                 victim->valid = true;
                 victim->line = lines_[way];
@@ -280,50 +305,76 @@ class CacheArray
     // saved — same victims in the same order forever after.
     // -----------------------------------------------------------------
 
-    /** Apply @p fn(flat_way_index, lru_stamp, line) to every valid
-     *  line, in flat way order (canonical for serialization). */
-    template <typename Fn>
+    /**
+     * Serialize the replacement clock and every valid way in flat way
+     * order: use counter, line count, then per line its way index, LRU
+     * stamp and address followed by @p payload(w, line).
+     */
+    template <typename Payload>
     void
-    forEachValidIndexed(Fn fn) const
+    encodeWays(WireWriter &w, Payload payload) const
     {
+        w.varint(useCounter_);
+        w.varint(validCount());
         for (std::size_t i = 0; i < tags_.size(); ++i) {
-            if (tags_[i] != invalidTag)
-                fn(i, lruStamp_[i], lines_[i]);
+            if (tags_[i] == invalidTag)
+                continue;
+            w.varint(i);
+            w.varint(lruStamp_[i]);
+            w.varint(tags_[i]);
+            payload(w, lines_[i]);
         }
     }
 
-    std::uint64_t useCounter() const { return useCounter_; }
-    void setUseCounter(std::uint64_t v) { useCounter_ = v; }
-
-    /** Total number of ways (the flat index space). */
-    std::size_t wayCount() const { return tags_.size(); }
-
-    /** True iff flat way @p i could legally hold block @p ba (the way
-     *  is in the block's set). For snapshot-decode validation. */
-    bool
-    wayMatchesSet(std::size_t i, Addr ba) const
+    /**
+     * Inverse of encodeWays() into a cleared array. @p read(r) decodes
+     * one payload into a Line, throwing WireError if it is invalid;
+     * @p installed(line) runs once the line sits in its way. Every way
+     * is validated before it is installed: in range, vacant, in the
+     * block's set, block-aligned, not a duplicate block, and stamped
+     * no later than the use counter.
+     */
+    template <typename Read, typename Installed>
+    void
+    decodeWays(WireReader &r, Read read, Installed installed)
     {
-        return i >= setBase(ba) && i < setBase(ba) + params_.assoc;
+        useCounter_ = r.varint("cache use counter");
+        const std::uint64_t count = r.varint("cache line count");
+        if (count > tags_.size()) {
+            throw WireError("cache line count " + std::to_string(count) +
+                            " exceeds the array's " +
+                            std::to_string(tags_.size()) + " ways");
+        }
+        for (std::uint64_t n = 0; n < count; ++n) {
+            const std::uint64_t i = r.varint("cache way index");
+            const std::uint64_t stamp = r.varint("cache lru stamp");
+            const Addr ba = r.varint("cache line address");
+            Line line = read(r);
+            if (i >= tags_.size())
+                throw WireError("cache way index out of range");
+            if (tags_[i] != invalidTag)
+                throw WireError("duplicate cache way in snapshot");
+            if (blockAlign(ba) != ba)
+                throw WireError("cache line address not block-aligned");
+            if (i < setBase(ba) || i >= setBase(ba) + params_.assoc)
+                throw WireError("cache line mapped to the wrong set");
+            if (contains(ba))
+                throw WireError("duplicate cache block in snapshot");
+            if (stamp > useCounter_)
+                throw WireError("cache lru stamp exceeds the use counter");
+            tags_[i] = ba;
+            lruStamp_[i] = stamp;
+            line.addr = ba;
+            line.valid = true;
+            installed(*::new (static_cast<void *>(&lines_[i])) Line(line));
+        }
     }
 
-    bool wayValid(std::size_t i) const { return tags_[i] != invalidTag; }
-
-    /**
-     * Install block @p ba into flat way @p i with LRU stamp @p stamp.
-     * The caller (the snapshot decoder) must have validated the way
-     * index, set membership, vacancy, and absence of the block; those
-     * preconditions are asserted here, not checked.
-     */
-    Line *
-    restoreWay(std::size_t i, Addr ba, std::uint64_t stamp)
+    template <typename Read>
+    void
+    decodeWays(WireReader &r, Read read)
     {
-        assert(i < tags_.size());
-        assert(wayMatchesSet(i, ba));
-        assert(tags_[i] == invalidTag && "restore into an occupied way");
-        assert(!contains(ba) && "restore of a block already present");
-        tags_[i] = ba;
-        lruStamp_[i] = stamp;
-        return emplace(i, ba);
+        decodeWays(r, read, [](const Line &) {});
     }
 
   private:

@@ -14,9 +14,11 @@
 #ifndef TOKENSIM_PROTO_CONTROLLER_HH
 #define TOKENSIM_PROTO_CONTROLLER_HH
 
+#include <algorithm>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "mem/block_map.hh"
 #include "net/message.hh"
@@ -340,9 +342,48 @@ class BackingStore
     /** Forget all writes (blocks revert to their initial values). */
     void clear() { data_.clear(); }
 
-    /** Written blocks, for snapshot iteration (slot order — sort by
-     *  address before serializing). */
-    const BlockMap<std::uint64_t> &blocks() const { return data_; }
+    /**
+     * Serialize the blocks whose value differs from their initial
+     * value: a count, then (address, value) pairs by ascending
+     * address — canonical whatever the write history.
+     */
+    void
+    encode(WireWriter &w) const
+    {
+        std::vector<std::pair<Addr, std::uint64_t>> written;
+        for (const auto &[a, v] : data_) {
+            if (v != initialValue(a))
+                written.emplace_back(a, v);
+        }
+        std::sort(written.begin(), written.end());
+        w.varint(written.size());
+        for (const auto &[a, v] : written) {
+            w.varint(a);
+            w.varint(v);
+        }
+    }
+
+    /** Inverse of encode() into an empty store. Every block must be
+     *  aligned, strictly ascending, and @p homed(addr) here. */
+    template <typename Homed>
+    void
+    decode(WireReader &r, Homed homed)
+    {
+        const std::uint64_t n = r.varint("written block count");
+        Addr prev = 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const Addr a = r.varint("written block address");
+            const std::uint64_t v = r.varint("written block value");
+            if (align(a) != a)
+                throw WireError("written block not block-aligned");
+            if (!homed(a))
+                throw WireError("written block homed elsewhere");
+            if (i > 0 && a <= prev)
+                throw WireError("written blocks not strictly ascending");
+            prev = a;
+            write(a, v);
+        }
+    }
 
   private:
     Addr

@@ -22,110 +22,45 @@
 #define TOKENSIM_PROTO_DIRECTORY_DIRECTORY_HH
 
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
-#include "mem/block_map.hh"
-#include "mem/cache.hh"
-#include "mem/dram.hh"
-#include "proto/controller.hh"
-#include "proto/home_state.hh"
+#include "proto/mosi.hh"
 
 namespace tokensim {
 
-/** Stable MOSI states of a directory-protocol cache line. */
-enum class DirCacheState : std::uint8_t
-{
-    I = 0,
-    S,
-    O,
-    M,
-};
-
-/** A directory-protocol L2 line. */
-struct DirLine : CacheLineBase
-{
-    DirCacheState state = DirCacheState::I;
-    bool written = false;
-    std::uint64_t data = 0;
-};
-
 /** Directory-protocol L2 cache controller. */
-class DirCache : public CacheController
+class DirCache : public MosiCache
 {
   public:
     DirCache(ProtoContext &ctx, NodeId id, const ProtocolParams &params);
 
-    void request(const ProcRequest &req) override;
     void handleMessage(const Message &msg) override;
-    bool hasPermission(Addr addr, MemOp op) const override;
-    void resetState(const ProtocolParams &params,
-                    std::uint64_t seed) override;
-
     std::uint64_t applyFunctional(const ProcRequest &req,
                                   FunctionalEnv &env) override;
-    void encodeWarmState(WireWriter &w) const override;
-    void decodeWarmState(WireReader &r) override;
-
-    DirCacheState state(Addr addr) const;
-
-    bool
-    quiescent() const
-    {
-        return outstanding_.empty() && wbBuffer_.empty();
-    }
 
   private:
-    struct Transaction
-    {
-        ProcRequest req;
-        Tick issuedAt = 0;
-        bool dataReceived = false;
-        bool dataExclusive = false;
-        bool dataFromMemory = false;
-        std::uint64_t dataValue = 0;
-        int acksNeeded = -1;   ///< unknown until the data/grant arrives
-        int acksReceived = 0;
-    };
-
-    struct WbEntry
-    {
-        std::uint64_t data = 0;
-    };
-
     void handleFwd(const Message &msg);
     void handleInv(const Message &msg);
     void handleDataOrGrant(const Message &msg);
-    void maybeComplete(Addr addr);
-
-    DirLine *allocLine(Addr addr);
-    void evictVictim(const DirLine &victim);
-
-    /** Fast-forward allocation: retire any victim by moving its state
-     *  functionally (no PutM message). */
-    DirLine *functionalAlloc(Addr ba, FunctionalEnv &env);
-    void respondData(NodeId dest, Addr addr, std::uint64_t value,
-                     bool exclusive, int ack_count);
-    void sendUnblock(Addr addr, bool exclusive);
-
-    ProtocolParams params_;
-    CacheArray<DirLine> l2_;
-    BlockMap<Transaction> outstanding_;
-    BlockMap<WbEntry> wbBuffer_;
 };
+
+/** Per-block directory state: the serializing home's plus sharers. */
+struct DirEntry : SerialEntry
+{
+    NodeMask sharers;
+};
+static_assert(std::is_trivially_copyable_v<DirEntry>);
+static_assert(sizeof(DirEntry) <= 24);
 
 /**
  * The home directory controller: full-map sharer/owner state per block,
- * busy-queueing, invalidation fan-out, and the DRAM-resident directory
- * lookup latency.
+ * invalidation fan-out, and the DRAM-resident directory lookup latency.
  */
-class DirMemory : public MemoryController
+class DirMemory : public SerialHome<DirEntry>
 {
   public:
     DirMemory(ProtoContext &ctx, NodeId id, const ProtocolParams &params);
 
-    void handleMessage(const Message &msg) override;
-    std::uint64_t peekData(Addr addr) const override;
     void resetState(const ProtocolParams &params) override;
 
     void encodeWarmState(WireWriter &w) const override;
@@ -140,59 +75,23 @@ class DirMemory : public MemoryController
     };
     DirView view(Addr addr) const;
 
-    /** Most requests ever queued at once across this home's blocks
-     *  (tests: wait storage must not grow with run length). */
-    std::size_t waitPoolHighWater() const { return waitPool_.highWater(); }
-
-    bool
-    quiescent() const
-    {
-        for (const auto &[a, e] : entries_) {
-            if (e.busy || !e.queue.empty())
-                return false;
-        }
-        return true;
-    }
-
   private:
     /** Fast-forward reaches straight into the directory entries and
      *  backing store. */
     friend class DirCache;
 
-    /** Per-block state; sharers and queue live in the pools below. */
-    struct DirEntry
-    {
-        NodeId owner = invalidNode;
-        NodeId pendingRequester = invalidNode;
-        NodeMask sharers;
-        WaitFifo queue;
-        bool busy = false;
-    };
-    static_assert(std::is_trivially_copyable_v<DirEntry>);
-
-    DirEntry &entryFor(Addr addr);
+    void processRequest(const Message &msg, DirEntry &e) override;
+    void recordUnblock(const Message &unblock, DirEntry &e) override;
 
     /** Directory access latency: DRAM unless perfectDirectory. */
     Tick dirLatency() const;
 
-    void processRequest(const Message &msg);
-    void handleUnblock(const Message &msg);
-    void handlePutM(const Message &msg);
-    void serviceNext(Addr addr);
+    /** Send @p type about @p req's block to @p dest's cache, once the
+     *  directory lookup is done. */
+    void sendAfterLookup(MsgType type, const Message &req, NodeId dest,
+                         int ack_count);
 
-    void sendMemoryData(const Message &req, bool exclusive,
-                        int ack_count);
-    void sendFwd(const Message &req, MsgType fwd_type, int ack_count);
-    /** Invalidate every sharer of @p e but @p requester. */
-    void sendInvs(Addr addr, const DirEntry &e, NodeId requester);
-    void sendGrant(const Message &req, int ack_count);
-
-    ProtocolParams params_;
-    BackingStore store_;
-    Dram dram_;
-    BlockMap<DirEntry> entries_;
     NodeMaskPool sharerPool_;
-    WaitPool<Message> waitPool_;
 };
 
 } // namespace tokensim

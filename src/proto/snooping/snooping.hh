@@ -34,46 +34,19 @@
 
 #include <cstdint>
 #include <type_traits>
-#include <vector>
 
-#include "mem/block_map.hh"
-#include "mem/cache.hh"
-#include "mem/dram.hh"
-#include "proto/controller.hh"
-#include "proto/home_state.hh"
+#include "proto/mosi.hh"
 
 namespace tokensim {
 
-/** Stable MOSI states of a snooping cache line. */
-enum class SnoopState : std::uint8_t
-{
-    I = 0,
-    S,
-    O,
-    M,
-};
-
-/** Human-readable state name. */
-const char *snoopStateName(SnoopState s);
-
-/** A snooping L2 line. */
-struct SnoopLine : CacheLineBase
-{
-    SnoopState state = SnoopState::I;
-    bool written = false;   ///< stored to while in M (migratory hint)
-    std::uint64_t data = 0;
-};
-
 /** Snooping L2 cache controller. */
-class SnoopCache : public CacheController
+class SnoopCache : public MosiCache
 {
   public:
     SnoopCache(ProtoContext &ctx, NodeId id,
                const ProtocolParams &params);
 
-    void request(const ProcRequest &req) override;
     void handleMessage(const Message &msg) override;
-    bool hasPermission(Addr addr, MemOp op) const override;
     void resetState(const ProtocolParams &params,
                     std::uint64_t seed) override;
 
@@ -82,58 +55,25 @@ class SnoopCache : public CacheController
     void encodeWarmState(WireWriter &w) const override;
     void decodeWarmState(WireReader &r) override;
 
-    /** Stable state of a block (tests). */
-    SnoopState state(Addr addr) const;
-
-    bool
-    quiescent() const
-    {
-        return outstanding_.empty() && wbBuffer_.empty();
-    }
-
   private:
-    /** One outstanding miss. */
-    struct Transaction
-    {
-        ProcRequest req;
-        Tick issuedAt = 0;
-        bool ordered = false;        ///< own request observed
-        bool dataReceived = false;
-        bool dataExclusive = false;
-        bool dataFromMemory = false;
-        std::uint64_t dataValue = 0;
-        std::vector<Message> deferred;   ///< snoops to apply after fill
-    };
+    void issueMiss(Addr ba, bool is_store) override;
+    void writeBack(const MosiLine &victim) override;
 
-    /** A line between PutM issue and writeback-data send. */
-    struct WbEntry
-    {
-        std::uint64_t data = 0;
-        bool surrendered = false;   ///< ownership taken by a GetM
-    };
+    /** Migratory prediction for a miss on @p ba: true if it fetches
+     *  the block exclusively. A store miss trains the predictor. */
+    bool fetchExclusive(Addr ba, bool is_store);
 
     void handleSnoop(const Message &msg);
     void handleOwnRequest(const Message &msg);
     void applySnoop(const Message &msg);
     void handleData(const Message &msg);
-    void completeTrans(Addr addr);
-
-    SnoopLine *allocLine(Addr addr);
-    void evictVictim(const SnoopLine &victim);
-    void respondData(NodeId dest, Addr addr, std::uint64_t value,
-                     bool exclusive);
-
-    /** Allocate a line during fast-forward, retiring any victim by
-     *  moving its state functionally (no PutM broadcast). */
-    SnoopLine *functionalAlloc(Addr ba, FunctionalEnv &env);
-
-    ProtocolParams params_;
-    CacheArray<SnoopLine> l2_;
-    BlockMap<Transaction> outstanding_;
-    BlockMap<WbEntry> wbBuffer_;
+    void completeMiss(Addr addr);
 
     /** Blocks predicted migratory: loads fetch them exclusively. */
     BlockSet migratoryPred_;
+
+    /** Snoops ordered after an outstanding miss, replayed on fill. */
+    WaitPool<Message> deferredPool_;
 };
 
 /**
@@ -143,15 +83,16 @@ class SnoopCache : public CacheController
  * (PutM ordered) but not yet arrived causes subsequent requests to
  * queue ("wb pending").
  */
-class SnoopMemory : public MemoryController
+class SnoopMemory : public MosiHome
 {
   public:
     SnoopMemory(ProtoContext &ctx, NodeId id,
                 const ProtocolParams &params);
 
     void handleMessage(const Message &msg) override;
-    std::uint64_t peekData(Addr addr) const override;
     void resetState(const ProtocolParams &params) override;
+    void settleWriteback(Addr addr, NodeId from,
+                         std::uint64_t data) override;
 
     void encodeWarmState(WireWriter &w) const override;
     void decodeWarmState(WireReader &r) override;
@@ -159,14 +100,11 @@ class SnoopMemory : public MemoryController
     /** True if memory would respond to a request for @p addr. */
     bool memoryOwns(Addr addr) const;
 
-    /** Most requests ever queued at once across this home's blocks
-     *  (tests: wait storage must not grow with run length). */
-    std::size_t waitPoolHighWater() const { return waitPool_.highWater(); }
-
   private:
     /** Fast-forward reaches straight into the home's owner table and
      *  backing store. */
     friend class SnoopCache;
+
     /** Per-block state; the waiting requests live in waitPool_. */
     struct MemBlock
     {
@@ -175,15 +113,11 @@ class SnoopMemory : public MemoryController
         WaitFifo waiting;
     };
     static_assert(std::is_trivially_copyable_v<MemBlock>);
+    static_assert(sizeof(MemBlock) <= 16);
 
     MemBlock &blockFor(Addr addr);
-    void respondData(const Message &req);
 
-    ProtocolParams params_;
-    BackingStore store_;
-    Dram dram_;
     BlockMap<MemBlock> blocks_;
-    WaitPool<Message> waitPool_;
 };
 
 } // namespace tokensim

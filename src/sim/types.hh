@@ -3,9 +3,11 @@
  * Fundamental simulator types and unit conversions.
  *
  * The simulator measures time in ticks of 100 picoseconds. This makes every
- * latency in the paper's Table 1 an integral number of ticks (see
- * DESIGN.md §4), including the serialization delay of an 8-byte control
- * message on a 3.2 GB/s link (2.5 ns = 25 ticks).
+ * latency in the paper's Table 1 an integral number of ticks (2 ns L1,
+ * 6 ns L2 and controller, 15 ns link, 80 ns DRAM), including the
+ * serialization delay of an 8-byte control message on a 3.2 GB/s link
+ * (2.5 ns = 25 ticks) and of a 72-byte data message (22.5 ns = 225
+ * ticks), so no latency is ever rounded.
  */
 
 #ifndef TOKENSIM_SIM_TYPES_HH

@@ -85,15 +85,14 @@ struct WorkloadSpec
     }
 
     /**
-     * Whole-value equality over every field. Serialization hook: the
-     * sweep wire format (harness/wire.cc) ships specs between worker
-     * processes field by field, and its round-trip tests compare
-     * through this operator — a field added here must be added to
-     * encodeWorkloadSpec/decodeWorkloadSpec (and wireVersion bumped)
-     * or the wire tests' exhaustive-field round trip will catch the
-     * omission. A sizeof sentinel next to encodeWorkloadSpec
-     * (harness/wire.cc) additionally fails the build on layout growth
-     * so the knob can't be added *here* and forgotten *there*.
+     * Whole-value equality over every field. A field added here must
+     * also be added to encodeWorkloadSpec (harness/wire.cc, with
+     * wireVersion bumped): the checkpoint's sweep fingerprint and the
+     * snapshot shape fingerprint hash that encoding, and
+     * test_wire.cc checks that every encoded knob moves the sweep
+     * fingerprint. A sizeof sentinel next to encodeWorkloadSpec
+     * additionally fails the build on layout growth, so the knob
+     * can't be added *here* and forgotten *there*.
      */
     friend bool
     operator==(const WorkloadSpec &a, const WorkloadSpec &b)

@@ -9,7 +9,10 @@
  * per-processor private data, read-mostly shared data,
  * producer-consumer data, and — dominant in OLTP — migratory data
  * (locks and counters accessed read-modify-write by one processor at a
- * time). See DESIGN.md §1 for the substitution rationale.
+ * time). The substitution is sound for what the paper measures: its
+ * protocol comparisons depend on the mix of miss types — cache-to-cache
+ * transfers, sharing misses, and memory misses — which these patterns
+ * set directly, not on the instruction stream between misses.
  *
  * A Workload instance is the per-processor operation stream: the
  * sequencer pulls one WorkloadOp at a time.

@@ -74,6 +74,25 @@ TEST(CacheArray, EvictsLruWayWhenSetFull)
     EXPECT_TRUE(c.contains(0x200));
 }
 
+TEST(CacheArray, PinnedLruWayIsPassedOver)
+{
+    CacheArray<TestLine> c(smallCache());
+    CacheArray<TestLine>::Victim v;
+    c.allocate(0x000, &v)->payload = 1;   // set 0, LRU
+    c.allocate(0x100, &v)->payload = 2;
+    const auto pinOne = [](const TestLine &l) { return l.payload == 1; };
+    c.allocate(0x200, &v, pinOne);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.line.addr, 0x100u);
+    EXPECT_TRUE(c.contains(0x000));
+
+    // With every way pinned the LRU way goes anyway.
+    c.find(0x200)->payload = 1;
+    c.allocate(0x300, &v, pinOne);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.line.addr, 0x000u);
+}
+
 TEST(CacheArray, InvalidateFreesWay)
 {
     CacheArray<TestLine> c(smallCache());

@@ -94,7 +94,7 @@ TEST(Directory, ColdLoadRecordsSharer)
     EXPECT_TRUE(r.wasMiss);
     EXPECT_FALSE(r.cacheToCache);
     EXPECT_EQ(r.value, kBlock);
-    EXPECT_EQ(dcache(d, 1).state(kBlock), DirCacheState::S);
+    EXPECT_EQ(dcache(d, 1).state(kBlock), MosiState::S);
     d.drain();   // let the unblock land before inspecting the home
     const auto v = dmem(d, 0).view(kBlock);
     EXPECT_FALSE(v.busy);
@@ -111,7 +111,7 @@ TEST(Directory, StoreRecordsOwner)
     const auto v = dmem(d, 0).view(kBlock);
     EXPECT_EQ(v.owner, 2u);
     EXPECT_TRUE(v.sharers.empty());
-    EXPECT_EQ(dcache(d, 2).state(kBlock), DirCacheState::M);
+    EXPECT_EQ(dcache(d, 2).state(kBlock), MosiState::M);
 }
 
 TEST(Directory, StoreToSharedSendsInvalidations)
@@ -122,8 +122,8 @@ TEST(Directory, StoreToSharedSendsInvalidations)
     const ProcResponse r = d.store(3, kBlock, 0x99);
     EXPECT_TRUE(r.wasMiss);
     for (NodeId n = 1; n < 3; ++n)
-        EXPECT_EQ(dcache(d, n).state(kBlock), DirCacheState::I);
-    EXPECT_EQ(dcache(d, 3).state(kBlock), DirCacheState::M);
+        EXPECT_EQ(dcache(d, n).state(kBlock), MosiState::I);
+    EXPECT_EQ(dcache(d, 3).state(kBlock), MosiState::M);
     // Two sharers were invalidated; their acks went to node 3.
     EXPECT_EQ(d.sys->net().traffic()
                   .messagesByType[static_cast<std::size_t>(
@@ -142,8 +142,8 @@ TEST(Directory, CacheToCacheForwardOnRead)
     const ProcResponse r = d.load(2, kBlock);
     EXPECT_TRUE(r.cacheToCache);   // three-hop transfer via owner
     EXPECT_EQ(r.value, 0xabcu);
-    EXPECT_EQ(dcache(d, 1).state(kBlock), DirCacheState::O);
-    EXPECT_EQ(dcache(d, 2).state(kBlock), DirCacheState::S);
+    EXPECT_EQ(dcache(d, 1).state(kBlock), MosiState::O);
+    EXPECT_EQ(dcache(d, 2).state(kBlock), MosiState::S);
     d.drain();
     const auto v = dmem(d, 0).view(kBlock);
     EXPECT_EQ(v.owner, 1u);
@@ -156,8 +156,8 @@ TEST(Directory, MigratoryReadTransfersExclusive)
     d.store(1, kBlock, 0xabc);
     const ProcResponse r = d.load(2, kBlock);
     EXPECT_TRUE(r.cacheToCache);
-    EXPECT_EQ(dcache(d, 2).state(kBlock), DirCacheState::M);
-    EXPECT_EQ(dcache(d, 1).state(kBlock), DirCacheState::I);
+    EXPECT_EQ(dcache(d, 2).state(kBlock), MosiState::M);
+    EXPECT_EQ(dcache(d, 1).state(kBlock), MosiState::I);
     d.drain();
     const auto v = dmem(d, 0).view(kBlock);
     EXPECT_EQ(v.owner, 2u);   // unblockExclusive retargeted ownership
@@ -171,13 +171,13 @@ TEST(Directory, OwnerUpgradeUsesDatalessGrant)
     ProtoDriver d(cfg);
     d.store(1, kBlock, 0x1);    // node 1: M
     d.load(2, kBlock);          // node 1 -> O, node 2: S
-    ASSERT_EQ(dcache(d, 1).state(kBlock), DirCacheState::O);
+    ASSERT_EQ(dcache(d, 1).state(kBlock), MosiState::O);
     const auto data_before = d.sys->net().traffic().messagesOf(
         MsgClass::data);
     const ProcResponse r = d.store(1, kBlock, 0x2);   // O -> M upgrade
     EXPECT_TRUE(r.wasMiss);
-    EXPECT_EQ(dcache(d, 1).state(kBlock), DirCacheState::M);
-    EXPECT_EQ(dcache(d, 2).state(kBlock), DirCacheState::I);
+    EXPECT_EQ(dcache(d, 1).state(kBlock), MosiState::M);
+    EXPECT_EQ(dcache(d, 2).state(kBlock), MosiState::I);
     // The grant carried no data: no new data messages.
     EXPECT_EQ(d.sys->net().traffic().messagesOf(MsgClass::data),
               data_before);
@@ -194,9 +194,9 @@ TEST(Directory, FwdGetMCollectsInvalidationsAtRequester)
     d.load(3, kBlock);          // sharers {2, 3}
     const ProcResponse r = d.store(0, kBlock, 0xff);
     EXPECT_TRUE(r.wasMiss);
-    EXPECT_EQ(dcache(d, 0).state(kBlock), DirCacheState::M);
+    EXPECT_EQ(dcache(d, 0).state(kBlock), MosiState::M);
     for (NodeId n = 1; n < 4; ++n)
-        EXPECT_EQ(dcache(d, n).state(kBlock), DirCacheState::I);
+        EXPECT_EQ(dcache(d, n).state(kBlock), MosiState::I);
     d.drain();
     const auto v = dmem(d, 0).view(kBlock);
     EXPECT_EQ(v.owner, 0u);
@@ -214,7 +214,7 @@ TEST(Directory, RacingRequestsQueueWithoutNacks)
     EXPECT_TRUE(dmem(d, 0).quiescent());
     int modified = 0;
     for (NodeId n = 0; n < 4; ++n)
-        modified += dcache(d, n).state(kBlock) == DirCacheState::M;
+        modified += dcache(d, n).state(kBlock) == MosiState::M;
     EXPECT_EQ(modified, 1);
 }
 
@@ -298,12 +298,12 @@ TEST(Directory, SilentSharerDropStillAcksInvalidation)
     d.load(1, 0x000);           // sharer 1 recorded
     d.load(1, 0x100);
     d.load(1, 0x200);           // silently evicts 0x000 from node 1
-    EXPECT_EQ(dcache(d, 1).state(0x000), DirCacheState::I);
+    EXPECT_EQ(dcache(d, 1).state(0x000), MosiState::I);
     // The directory still thinks node 1 shares 0x000; the store must
     // complete anyway (stale sharers ack without a line).
     const ProcResponse r = d.store(2, 0x000, 0x77);
     EXPECT_TRUE(r.wasMiss);
-    EXPECT_EQ(dcache(d, 2).state(0x000), DirCacheState::M);
+    EXPECT_EQ(dcache(d, 2).state(0x000), MosiState::M);
     d.drain();
 }
 
@@ -340,8 +340,8 @@ TEST(Directory, WideSharerMasksInvalidateInAscendingOrder)
     EXPECT_EQ(dests, (std::vector<NodeId>{63, 64, 127, 129}));
     EXPECT_EQ(messagesOfType(d, MsgType::invAck) - acks_before, 4u);
     for (NodeId n : {63u, 64u, 127u, 129u})
-        EXPECT_EQ(dcache(d, n).state(kBlock), DirCacheState::I);
-    EXPECT_EQ(dcache(d, 128).state(kBlock), DirCacheState::M);
+        EXPECT_EQ(dcache(d, n).state(kBlock), MosiState::I);
+    EXPECT_EQ(dcache(d, 128).state(kBlock), MosiState::M);
     const auto v = dmem(d, home).view(kBlock);
     EXPECT_EQ(v.owner, 128u);
     EXPECT_TRUE(v.sharers.empty());

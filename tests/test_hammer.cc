@@ -46,7 +46,7 @@ TEST(Hammer, ColdLoadCollectsAllResponses)
     EXPECT_TRUE(r.wasMiss);
     EXPECT_FALSE(r.cacheToCache);
     EXPECT_EQ(r.value, kBlock);
-    EXPECT_EQ(hcache(d, 1).state(kBlock), HammerState::S);
+    EXPECT_EQ(hcache(d, 1).state(kBlock), MosiState::S);
     // Every node but the requester acked: N-1 = 3 acknowledgments.
     EXPECT_EQ(d.sys->net().traffic()
                   .messagesByType[static_cast<std::size_t>(
@@ -58,7 +58,7 @@ TEST(Hammer, StoreBecomesModified)
 {
     ProtoDriver d(hammerConfig());
     d.store(2, kBlock, 0x22);
-    EXPECT_EQ(hcache(d, 2).state(kBlock), HammerState::M);
+    EXPECT_EQ(hcache(d, 2).state(kBlock), MosiState::M);
     EXPECT_FALSE(d.store(2, kBlock, 0x23).wasMiss);
     EXPECT_EQ(d.load(2, kBlock).value, 0x23u);
 }
@@ -78,8 +78,8 @@ TEST(Hammer, MigratoryTransfer)
     ProtoDriver d(hammerConfig());
     d.store(1, kBlock, 0xaa);
     d.load(3, kBlock);
-    EXPECT_EQ(hcache(d, 3).state(kBlock), HammerState::M);
-    EXPECT_EQ(hcache(d, 1).state(kBlock), HammerState::I);
+    EXPECT_EQ(hcache(d, 3).state(kBlock), MosiState::M);
+    EXPECT_EQ(hcache(d, 1).state(kBlock), MosiState::I);
     EXPECT_FALSE(d.store(3, kBlock, 0xbb).wasMiss);
 }
 
@@ -90,11 +90,11 @@ TEST(Hammer, NonMigratorySharing)
     ProtoDriver d(cfg);
     d.store(1, kBlock, 0xaa);
     d.load(3, kBlock);
-    EXPECT_EQ(hcache(d, 1).state(kBlock), HammerState::O);
-    EXPECT_EQ(hcache(d, 3).state(kBlock), HammerState::S);
+    EXPECT_EQ(hcache(d, 1).state(kBlock), MosiState::O);
+    EXPECT_EQ(hcache(d, 3).state(kBlock), MosiState::S);
     // O-state owner keeps answering readers.
     EXPECT_EQ(d.load(2, kBlock).value, 0xaau);
-    EXPECT_EQ(hcache(d, 2).state(kBlock), HammerState::S);
+    EXPECT_EQ(hcache(d, 2).state(kBlock), MosiState::S);
 }
 
 TEST(Hammer, StoreInvalidatesSharers)
@@ -107,7 +107,7 @@ TEST(Hammer, StoreInvalidatesSharers)
     d.store(2, kBlock, 0x55);
     for (NodeId n = 0; n < 4; ++n) {
         if (n != 2) {
-            EXPECT_EQ(hcache(d, n).state(kBlock), HammerState::I);
+            EXPECT_EQ(hcache(d, n).state(kBlock), MosiState::I);
         }
     }
     EXPECT_EQ(d.load(0, kBlock).value, 0x55u);
@@ -124,7 +124,7 @@ TEST(Hammer, RacingStoresSerializeAtHome)
     EXPECT_TRUE(hmem(d, 0).quiescent());
     int modified = 0;
     for (NodeId n = 0; n < 4; ++n)
-        modified += hcache(d, n).state(kBlock) == HammerState::M;
+        modified += hcache(d, n).state(kBlock) == MosiState::M;
     EXPECT_EQ(modified, 1);
 }
 

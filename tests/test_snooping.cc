@@ -50,7 +50,7 @@ TEST(Snooping, ColdLoadFromMemory)
     EXPECT_TRUE(r.wasMiss);
     EXPECT_FALSE(r.cacheToCache);
     EXPECT_EQ(r.value, kBlock);
-    EXPECT_EQ(scache(d, 1).state(kBlock), SnoopState::S);
+    EXPECT_EQ(scache(d, 1).state(kBlock), MosiState::S);
     EXPECT_TRUE(smem(d, 0).memoryOwns(kBlock));
 }
 
@@ -58,7 +58,7 @@ TEST(Snooping, StoreMakesModifiedAndClearsMemoryOwner)
 {
     ProtoDriver d(snoopConfig());
     d.store(2, kBlock, 0x2222);
-    EXPECT_EQ(scache(d, 2).state(kBlock), SnoopState::M);
+    EXPECT_EQ(scache(d, 2).state(kBlock), MosiState::M);
     EXPECT_FALSE(smem(d, 0).memoryOwns(kBlock));
 }
 
@@ -85,7 +85,7 @@ TEST(Snooping, MigratoryPredictorMakesLoadsExclusive)
     const ProcResponse r = d.load(3, kBlock);
     EXPECT_TRUE(r.cacheToCache);
     EXPECT_EQ(r.value, 0xaaaau);
-    EXPECT_EQ(scache(d, 3).state(kBlock), SnoopState::S);
+    EXPECT_EQ(scache(d, 3).state(kBlock), MosiState::S);
     EXPECT_TRUE(d.store(3, kBlock, 0xbbbb).wasMiss);
 
     // Node 0 runs another section: its store miss on this block
@@ -93,9 +93,9 @@ TEST(Snooping, MigratoryPredictorMakesLoadsExclusive)
     // the store hits — one miss for the whole section.
     const ProcResponse r0 = d.load(0, kBlock);
     EXPECT_EQ(r0.value, 0xbbbbu);
-    EXPECT_EQ(scache(d, 0).state(kBlock), SnoopState::M);
+    EXPECT_EQ(scache(d, 0).state(kBlock), MosiState::M);
     EXPECT_FALSE(d.store(0, kBlock, 0xcccc).wasMiss);
-    EXPECT_EQ(scache(d, 3).state(kBlock), SnoopState::I);
+    EXPECT_EQ(scache(d, 3).state(kBlock), MosiState::I);
 }
 
 TEST(Snooping, OwnerSuppliesSharedDataWithoutMigratory)
@@ -106,8 +106,8 @@ TEST(Snooping, OwnerSuppliesSharedDataWithoutMigratory)
     d.store(0, kBlock, 0xaaaa);
     const ProcResponse r = d.load(3, kBlock);
     EXPECT_TRUE(r.cacheToCache);
-    EXPECT_EQ(scache(d, 0).state(kBlock), SnoopState::O);
-    EXPECT_EQ(scache(d, 3).state(kBlock), SnoopState::S);
+    EXPECT_EQ(scache(d, 0).state(kBlock), MosiState::O);
+    EXPECT_EQ(scache(d, 3).state(kBlock), MosiState::S);
     // A second reader is served by the O-state owner, not memory.
     const ProcResponse r2 = d.load(1, kBlock);
     EXPECT_TRUE(r2.cacheToCache);
@@ -125,7 +125,7 @@ TEST(Snooping, GetMInvalidatesSharers)
     d.store(2, kBlock, 0x5555);
     for (NodeId n = 0; n < 4; ++n) {
         if (n != 2) {
-            EXPECT_EQ(scache(d, n).state(kBlock), SnoopState::I);
+            EXPECT_EQ(scache(d, n).state(kBlock), MosiState::I);
         }
     }
     EXPECT_EQ(d.load(1, kBlock).value, 0x5555u);
@@ -141,7 +141,7 @@ TEST(Snooping, RacingStoresSerializeThroughRoot)
     d.drain();
     int modified = 0;
     for (NodeId n = 0; n < 4; ++n)
-        modified += scache(d, n).state(kBlock) == SnoopState::M;
+        modified += scache(d, n).state(kBlock) == MosiState::M;
     EXPECT_EQ(modified, 1);
     const ProcResponse r = d.load(0, kBlock);
     EXPECT_GE(r.value, 0x100u);
@@ -170,7 +170,7 @@ TEST(Snooping, EvictionWritesBackThroughOrderedPutM)
     d.store(1, 0x100, 0x222);
     d.store(1, 0x200, 0x333);   // evicts 0x000 (M) -> PutM + data
     d.drain();
-    EXPECT_EQ(scache(d, 1).state(0x000), SnoopState::I);
+    EXPECT_EQ(scache(d, 1).state(0x000), MosiState::I);
     EXPECT_TRUE(scache(d, 1).quiescent());
     EXPECT_TRUE(smem(d, 0).memoryOwns(0x000));
     EXPECT_EQ(smem(d, 0).peekData(0x000), 0x111u);
@@ -208,7 +208,7 @@ TEST(Snooping, SharedEvictionIsSilent)
     d.load(1, 0x100);
     d.load(1, 0x200);          // evicts 0x000 from node 1 (S): silent
     d.drain();
-    EXPECT_EQ(scache(d, 1).state(0x000), SnoopState::I);
+    EXPECT_EQ(scache(d, 1).state(0x000), MosiState::I);
     // Only the two loads' ordered requests were added; no PutM.
     EXPECT_EQ(d.sys->net().traffic().messagesOf(MsgClass::request),
               before + 2);

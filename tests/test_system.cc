@@ -264,17 +264,13 @@ maxWaitPoolHighWater(System &sys)
 {
     std::size_t most = 0;
     for (int n = 0; n < sys.numNodes(); ++n) {
-        MemoryController &m = sys.memory(static_cast<NodeId>(n));
-        std::size_t hw = 0;
-        if (auto *d = dynamic_cast<DirMemory *>(&m))
-            hw = d->waitPoolHighWater();
-        else if (auto *h = dynamic_cast<HammerMemory *>(&m))
-            hw = h->waitPoolHighWater();
-        else if (auto *s = dynamic_cast<SnoopMemory *>(&m))
-            hw = s->waitPoolHighWater();
-        else
+        auto *m = dynamic_cast<MosiHome *>(
+            &sys.memory(static_cast<NodeId>(n)));
+        if (!m) {
             ADD_FAILURE() << "not a queueing home controller";
-        most = std::max(most, hw);
+            continue;
+        }
+        most = std::max(most, m->waitPoolHighWater());
     }
     return most;
 }
@@ -310,6 +306,65 @@ TEST(HomeWaitPool, StorageFollowsWaitingRequestsNotRunLength)
         ASSERT_TRUE(sys.reset(cfg));
         sys.run();
         EXPECT_EQ(maxWaitPoolHighWater(sys), 0u);
+    }
+}
+
+TEST(BaselineEviction, OwnedLinesSurviveSmallL2Contention)
+{
+    // A 1 KB, 2-way L2 under a 64-block uniform mix keeps evicting Owned
+    // lines. Two races used to abort these runs (Debug asserts, Release
+    // crashes): an Owned line evicted while its own upgrade GetM was in
+    // flight (Directory: a dataless grant found no line), and a
+    // writeback buffer that kept answering requests after a GetM took
+    // its ownership (Snooping and Hammer: two data responses for one
+    // miss). Each run must complete and leave every block with one
+    // owner at most, agreeing with its home.
+    for (ProtocolKind proto : {ProtocolKind::directory,
+                               ProtocolKind::snooping,
+                               ProtocolKind::hammer}) {
+        for (const char *topo : {"torus", "tree"}) {
+            if (proto == ProtocolKind::snooping &&
+                std::string(topo) == "torus")
+                continue;
+            SCOPED_TRACE(std::string(protocolName(proto)) + "/" + topo);
+            SystemConfig cfg = baseConfig(proto, topo, "uniform");
+            cfg.numNodes = 16;
+            cfg.workload.uniformBlocks = 64;
+            cfg.l2 = CacheParams{1024, 2, 64, nsToTicks(6)};
+            cfg.opsPerProcessor = 1600;
+            cfg.seed = 12345;
+            System sys(cfg);
+            sys.run();
+            EXPECT_EQ(sys.results().ops(), 16u * 1600u);
+
+            for (Addr blk = 0; blk < 64; ++blk) {
+                const Addr a = blk * 64;
+                std::vector<NodeId> owners;
+                int copies = 0;
+                for (NodeId n = 0; n < 16; ++n) {
+                    const MosiState st =
+                        dynamic_cast<MosiCache &>(sys.cache(n)).state(a);
+                    copies += st != MosiState::I;
+                    if (st == MosiState::M || st == MosiState::O)
+                        owners.push_back(n);
+                    if (st == MosiState::M) {
+                        EXPECT_EQ(copies, 1)
+                            << "M beside a copy, block " << blk;
+                    }
+                }
+                ASSERT_LE(owners.size(), 1u) << "block " << blk;
+                const NodeId owner =
+                    owners.empty() ? invalidNode : owners[0];
+                MemoryController &home = sys.memory(sys.ctx().home(a));
+                if (auto *d = dynamic_cast<DirMemory *>(&home)) {
+                    EXPECT_EQ(d->view(a).owner, owner) << "block " << blk;
+                }
+                if (auto *s = dynamic_cast<SnoopMemory *>(&home)) {
+                    EXPECT_EQ(s->memoryOwns(a), owners.empty())
+                        << "block " << blk;
+                }
+            }
+        }
     }
 }
 

@@ -1,20 +1,24 @@
 /**
  * @file
  * Wire-format fuzz suite for the sweep runner's serialization layer
- * (harness/wire.hh), mirroring test_trace.cc's coverage style: every
- * spec/result field round-trips bit-exactly, truncation at every byte
- * offset yields a typed WireError (never a crash, never a silent
- * success), and each malformed-input class — bad magic, bad version,
- * oversized varints, out-of-range enums, non-0/1 bools, trailing
- * garbage, layout skew — names its problem.
+ * (harness/wire.hh) and the warm-state snapshot codec, mirroring
+ * test_trace.cc's coverage style: every result field round-trips
+ * bit-exactly, every encoded spec field moves the sweep fingerprint,
+ * truncation at every byte offset yields a typed WireError (never a
+ * crash, never a silent success), and each malformed-input class —
+ * bad magic, bad version, oversized varints, out-of-range enums,
+ * non-0/1 bools, trailing garbage, layout skew — names its problem.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "harness/snapshot.hh"
 #include "harness/wire.hh"
@@ -32,146 +36,119 @@ expectSameBits(double a, double b, const char *what)
     EXPECT_EQ(ab, bb) << what;
 }
 
-/** A SystemConfig with every field moved off its default. */
+/** Moves one field of a SystemConfig off its default. */
+using ConfigMutation = std::function<void(SystemConfig &)>;
+
+/** One mutation per knob of a WorkloadSpec, applied through @p pick
+ *  (the config's own spec or a tenant's). */
+void
+addWorkloadMutations(std::vector<ConfigMutation> &out,
+                     std::function<WorkloadSpec &(SystemConfig &)> pick)
+{
+    const auto knob = [&](std::function<void(WorkloadSpec &)> mutate) {
+        out.push_back([pick, mutate](SystemConfig &c) { mutate(pick(c)); });
+    };
+    knob([](WorkloadSpec &s) { s.preset = "lock-ping"; });
+    knob([](WorkloadSpec &s) { s.tracePath = "some/path.trace"; });
+    knob([](WorkloadSpec &s) { s.uniformBlocks = 99; });
+    knob([](WorkloadSpec &s) { s.storeFraction = 0.4375; });
+    knob([](WorkloadSpec &s) { s.prodConsBlocks = 33; });
+    knob([](WorkloadSpec &s) { s.lockBlocks = 21; });
+    knob([](WorkloadSpec &s) { s.sectionOps = -3; });
+    knob([](WorkloadSpec &s) { s.ycsbRecords = 777; });
+    knob([](WorkloadSpec &s) { s.ycsbTheta = 0.9375; });
+    knob([](WorkloadSpec &s) { s.ycsbReadFraction = 0.5625; });
+    knob([](WorkloadSpec &s) { s.ycsbUpdateFraction = 0.1875; });
+    knob([](WorkloadSpec &s) { s.ycsbScanLen = 23; });
+    knob([](WorkloadSpec &s) { s.tpccWarehouses = 44; });
+    knob([](WorkloadSpec &s) { s.tpccHomeFraction = 0.65625; });
+    knob([](WorkloadSpec &s) { s.tpccOpsPerTxn = 31; });
+    knob([](WorkloadSpec &s) { s.tpccThinkOps = -7; });
+}
+
+/** One mutation per encoded SystemConfig field, workload knobs and
+ *  the tenant list included. */
+std::vector<ConfigMutation>
+configMutations()
+{
+    std::vector<ConfigMutation> m = {
+        [](SystemConfig &c) { c.numNodes = 12; },
+        [](SystemConfig &c) { c.topology = "tree"; },
+        [](SystemConfig &c) { c.protocol = ProtocolKind::tokenM; },
+        [](SystemConfig &c) { c.proto.migratoryOpt = false; },
+        [](SystemConfig &c) { c.proto.tokensPerBlock = 17; },
+        [](SystemConfig &c) { c.proto.maxReissues = 9; },
+        [](SystemConfig &c) { c.proto.reissueLatencyMultiple = 3.25; },
+        [](SystemConfig &c) { c.proto.reissueJitter = 0.125; },
+        [](SystemConfig &c) { c.proto.initialAvgMissLatency = 1234; },
+        [](SystemConfig &c) { c.proto.maxReissueTimeout = 987654; },
+        [](SystemConfig &c) { c.proto.reissueEnabled = false; },
+        [](SystemConfig &c) { c.proto.chaosDropFraction = 0.0625; },
+        [](SystemConfig &c) { c.proto.chaosMisdirectFraction = 0.03125; },
+        [](SystemConfig &c) { c.proto.perfectDirectory = true; },
+        [](SystemConfig &c) { c.proto.predictorEntries = 4096; },
+        [](SystemConfig &c) { c.proto.adaptiveThreshold = 0.75; },
+        [](SystemConfig &c) { c.proto.adaptiveWindow = 5555; },
+        [](SystemConfig &c) { c.net.linkLatency = 77; },
+        [](SystemConfig &c) { c.net.bytesPerNs = 6.4; },
+        [](SystemConfig &c) { c.net.unlimitedBandwidth = true; },
+        [](SystemConfig &c) { c.net.ctrlBytes = 16; },
+        [](SystemConfig &c) { c.net.dataBytes = 144; },
+        [](SystemConfig &c) { c.net.localDelay = 3; },
+        [](SystemConfig &c) { c.seq.maxOutstanding = 8; },
+        [](SystemConfig &c) { c.seq.thinkMean = 42; },
+        [](SystemConfig &c) { c.seq.l1.sizeBytes = 64 * 1024; },
+        [](SystemConfig &c) { c.seq.l1.assoc = 2; },
+        [](SystemConfig &c) { c.seq.l1.blockBytes = 32; },
+        [](SystemConfig &c) { c.seq.l1.latency = 5; },
+        [](SystemConfig &c) { c.seq.l1Enabled = false; },
+        [](SystemConfig &c) { c.l2.sizeBytes = 1024 * 1024; },
+        [](SystemConfig &c) { c.l2.assoc = 8; },
+        [](SystemConfig &c) { c.l2.blockBytes = 32; },
+        [](SystemConfig &c) { c.l2.latency = 11; },
+        [](SystemConfig &c) { c.dram.latency = 321; },
+        [](SystemConfig &c) { c.dram.minGap = 7; },
+        [](SystemConfig &c) { c.ctrlLatency = 13; },
+        [](SystemConfig &c) { c.blockBytes = 32; },
+        [](SystemConfig &c) { c.recordTrace = "out/rec.trace"; },
+        [](SystemConfig &c) { c.sampling.ffOps = 5000; },
+        [](SystemConfig &c) { c.sampling.measureOps = 250; },
+        [](SystemConfig &c) { c.sampling.windows = 19; },
+        [](SystemConfig &c) {
+            c.warmSnapshot =
+                std::make_shared<const std::string>("opaque snapshot");
+        },
+        [](SystemConfig &c) { c.opsPerProcessor = 123456789; },
+        [](SystemConfig &c) { c.warmupOpsPerProcessor = 55; },
+        [](SystemConfig &c) { c.seed = 0xdeadbeefcafef00dULL; },
+        [](SystemConfig &c) { c.attachAuditor = true; },
+        [](SystemConfig &c) {
+            c.maxTicks = std::numeric_limits<std::uint64_t>::max();
+        },
+        [](SystemConfig &c) { c.tenants = {TenantSpec{}}; },
+        [](SystemConfig &c) {
+            c.tenants = {TenantSpec{}};
+            c.tenants[0].nodes = 5;
+        },
+    };
+    addWorkloadMutations(m, [](SystemConfig &c) -> WorkloadSpec & {
+        return c.workload;
+    });
+    addWorkloadMutations(m, [](SystemConfig &c) -> WorkloadSpec & {
+        c.tenants.resize(1);
+        return c.tenants[0].workload;
+    });
+    return m;
+}
+
+/** A SystemConfig with every encoded field moved off its default. */
 SystemConfig
 exhaustiveConfig()
 {
     SystemConfig cfg;
-    cfg.numNodes = 12;
-    cfg.topology = "tree";
-    cfg.protocol = ProtocolKind::tokenM;
-    cfg.proto.migratoryOpt = false;
-    cfg.proto.tokensPerBlock = 17;
-    cfg.proto.maxReissues = 9;
-    cfg.proto.reissueLatencyMultiple = 3.25;
-    cfg.proto.reissueJitter = 0.125;
-    cfg.proto.initialAvgMissLatency = 1234;
-    cfg.proto.maxReissueTimeout = 987654;
-    cfg.proto.reissueEnabled = false;
-    cfg.proto.chaosDropFraction = 0.0625;
-    cfg.proto.chaosMisdirectFraction = 0.03125;
-    cfg.proto.perfectDirectory = true;
-    cfg.proto.predictorEntries = 4096;
-    cfg.proto.adaptiveThreshold = 0.75;
-    cfg.proto.adaptiveWindow = 5555;
-    cfg.net.linkLatency = 77;
-    cfg.net.bytesPerNs = 6.4;
-    cfg.net.unlimitedBandwidth = true;
-    cfg.net.ctrlBytes = 16;
-    cfg.net.dataBytes = 144;
-    cfg.net.localDelay = 3;
-    cfg.seq.maxOutstanding = 8;
-    cfg.seq.thinkMean = 42;
-    cfg.seq.l1 = CacheParams{64 * 1024, 2, 32, 5};
-    cfg.seq.l1Enabled = false;
-    cfg.l2 = CacheParams{1024 * 1024, 8, 32, 11};
-    cfg.dram.latency = 321;
-    cfg.dram.minGap = 7;
-    cfg.ctrlLatency = 13;
-    cfg.blockBytes = 32;
-    cfg.workload = WorkloadSpec::trace("some/path.trace");
-    cfg.workload.preset = "lock-ping";
-    cfg.workload.uniformBlocks = 99;
-    cfg.workload.storeFraction = 0.4375;
-    cfg.workload.prodConsBlocks = 33;
-    cfg.workload.lockBlocks = 21;
-    cfg.workload.sectionOps = -3;
-    cfg.workload.ycsbRecords = 777;
-    cfg.workload.ycsbTheta = 0.9375;
-    cfg.workload.ycsbReadFraction = 0.5625;
-    cfg.workload.ycsbUpdateFraction = 0.1875;
-    cfg.workload.ycsbScanLen = 23;
-    cfg.workload.tpccWarehouses = 44;
-    cfg.workload.tpccHomeFraction = 0.65625;
-    cfg.workload.tpccOpsPerTxn = 31;
-    cfg.workload.tpccThinkOps = -7;
-    TenantSpec tenant_a;
-    tenant_a.workload = WorkloadSpec("ycsb");
-    tenant_a.workload.ycsbTheta = 0.59375;
-    tenant_a.nodes = 5;
-    TenantSpec tenant_b;
-    tenant_b.workload = WorkloadSpec("tpcc");
-    tenant_b.workload.tpccOpsPerTxn = 3;
-    tenant_b.nodes = 7;
-    cfg.tenants = {tenant_a, tenant_b};
-    cfg.recordTrace = "out/rec.trace";
-    cfg.sampling = SamplingSpec{5000, 250, 19};
-    cfg.warmSnapshot =
-        std::make_shared<const std::string>("opaque snapshot bytes");
-    cfg.opsPerProcessor = 123456789;
-    cfg.warmupOpsPerProcessor = 55;
-    cfg.seed = 0xdeadbeefcafef00dULL;
-    cfg.attachAuditor = true;
-    cfg.maxTicks = std::numeric_limits<std::uint64_t>::max();
+    for (const ConfigMutation &mutate : configMutations())
+        mutate(cfg);
     return cfg;
-}
-
-void
-expectSameConfig(const SystemConfig &a, const SystemConfig &b)
-{
-    EXPECT_EQ(a.numNodes, b.numNodes);
-    EXPECT_EQ(a.topology, b.topology);
-    EXPECT_EQ(a.protocol, b.protocol);
-    EXPECT_EQ(a.proto.migratoryOpt, b.proto.migratoryOpt);
-    EXPECT_EQ(a.proto.tokensPerBlock, b.proto.tokensPerBlock);
-    EXPECT_EQ(a.proto.maxReissues, b.proto.maxReissues);
-    expectSameBits(a.proto.reissueLatencyMultiple,
-                   b.proto.reissueLatencyMultiple, "reissue multiple");
-    expectSameBits(a.proto.reissueJitter, b.proto.reissueJitter,
-                   "reissue jitter");
-    EXPECT_EQ(a.proto.initialAvgMissLatency,
-              b.proto.initialAvgMissLatency);
-    EXPECT_EQ(a.proto.maxReissueTimeout, b.proto.maxReissueTimeout);
-    EXPECT_EQ(a.proto.reissueEnabled, b.proto.reissueEnabled);
-    expectSameBits(a.proto.chaosDropFraction,
-                   b.proto.chaosDropFraction, "chaos drop");
-    expectSameBits(a.proto.chaosMisdirectFraction,
-                   b.proto.chaosMisdirectFraction, "chaos misdirect");
-    EXPECT_EQ(a.proto.perfectDirectory, b.proto.perfectDirectory);
-    EXPECT_EQ(a.proto.predictorEntries, b.proto.predictorEntries);
-    expectSameBits(a.proto.adaptiveThreshold,
-                   b.proto.adaptiveThreshold, "adaptive threshold");
-    EXPECT_EQ(a.proto.adaptiveWindow, b.proto.adaptiveWindow);
-    EXPECT_EQ(a.net.linkLatency, b.net.linkLatency);
-    expectSameBits(a.net.bytesPerNs, b.net.bytesPerNs, "bytesPerNs");
-    EXPECT_EQ(a.net.unlimitedBandwidth, b.net.unlimitedBandwidth);
-    EXPECT_EQ(a.net.ctrlBytes, b.net.ctrlBytes);
-    EXPECT_EQ(a.net.dataBytes, b.net.dataBytes);
-    EXPECT_EQ(a.net.localDelay, b.net.localDelay);
-    EXPECT_EQ(a.seq.maxOutstanding, b.seq.maxOutstanding);
-    EXPECT_EQ(a.seq.thinkMean, b.seq.thinkMean);
-    EXPECT_EQ(a.seq.l1.sizeBytes, b.seq.l1.sizeBytes);
-    EXPECT_EQ(a.seq.l1.assoc, b.seq.l1.assoc);
-    EXPECT_EQ(a.seq.l1.blockBytes, b.seq.l1.blockBytes);
-    EXPECT_EQ(a.seq.l1.latency, b.seq.l1.latency);
-    EXPECT_EQ(a.seq.l1Enabled, b.seq.l1Enabled);
-    EXPECT_EQ(a.l2.sizeBytes, b.l2.sizeBytes);
-    EXPECT_EQ(a.l2.assoc, b.l2.assoc);
-    EXPECT_EQ(a.l2.blockBytes, b.l2.blockBytes);
-    EXPECT_EQ(a.l2.latency, b.l2.latency);
-    EXPECT_EQ(a.dram.latency, b.dram.latency);
-    EXPECT_EQ(a.dram.minGap, b.dram.minGap);
-    EXPECT_EQ(a.ctrlLatency, b.ctrlLatency);
-    EXPECT_EQ(a.blockBytes, b.blockBytes);
-    // WorkloadSpec::operator== covers every workload field (the
-    // factory header documents it as the wire's serialization hook).
-    EXPECT_TRUE(a.workload == b.workload);
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (std::size_t i = 0; i < a.tenants.size(); ++i)
-        EXPECT_TRUE(a.tenants[i] == b.tenants[i]);
-    EXPECT_EQ(a.recordTrace, b.recordTrace);
-    EXPECT_EQ(a.sampling.ffOps, b.sampling.ffOps);
-    EXPECT_EQ(a.sampling.measureOps, b.sampling.measureOps);
-    EXPECT_EQ(a.sampling.windows, b.sampling.windows);
-    // The snapshot blob ships by value; null and empty are the same
-    // "no snapshot" state on the wire.
-    EXPECT_EQ(a.warmSnapshot ? *a.warmSnapshot : std::string(),
-              b.warmSnapshot ? *b.warmSnapshot : std::string());
-    EXPECT_EQ(a.opsPerProcessor, b.opsPerProcessor);
-    EXPECT_EQ(a.warmupOpsPerProcessor, b.warmupOpsPerProcessor);
-    EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.attachAuditor, b.attachAuditor);
-    EXPECT_EQ(a.maxTicks, b.maxTicks);
 }
 
 /**
@@ -341,36 +318,8 @@ TEST(WirePrimitives, TrailingBytesAreATypedError)
 }
 
 // ---------------------------------------------------------------------
-// Struct round trips
+// Spec encodings and result round trips
 // ---------------------------------------------------------------------
-
-TEST(WireStructs, WorkloadSpecRoundTripsEveryField)
-{
-    WorkloadSpec spec = WorkloadSpec::trace("a/b/c.trace");
-    spec.preset = "producer-consumer";
-    spec.uniformBlocks = 5;
-    spec.storeFraction = 0.875;
-    spec.prodConsBlocks = 11;
-    spec.lockBlocks = 13;
-    spec.sectionOps = 42;
-    spec.ycsbRecords = 4097;
-    spec.ycsbTheta = 0.03125;
-    spec.ycsbReadFraction = 0.28125;
-    spec.ycsbUpdateFraction = 0.09375;
-    spec.ycsbScanLen = -5;
-    spec.tpccWarehouses = 129;
-    spec.tpccHomeFraction = 0.40625;
-    spec.tpccOpsPerTxn = -11;
-    spec.tpccThinkOps = 77;
-
-    WireWriter w;
-    encodeWorkloadSpec(w, spec);
-    WireReader r(w.buffer());
-    const WorkloadSpec back = decodeWorkloadSpec(r);
-    EXPECT_NO_THROW(r.expectEnd("workload spec"));
-    EXPECT_TRUE(back == spec);
-    EXPECT_FALSE(back != spec);
-}
 
 TEST(WireStructs, WorkloadSpecEqualityDiscriminatesEveryKnob)
 {
@@ -401,104 +350,23 @@ TEST(WireStructs, WorkloadSpecEqualityDiscriminatesEveryKnob)
     differs([](WorkloadSpec &s) { s.tpccThinkOps += 1; });
 }
 
-TEST(WireStructs, EachWorkloadKnobSurvivesTheWireAlone)
+TEST(WireStructs, EveryEncodedFieldMovesTheSweepFingerprint)
 {
-    // Round-trip each knob's perturbation independently: catches a
-    // codec that serializes knob A into knob B's slot (a pure
-    // round-trip of an all-perturbed spec could still pass if two
-    // same-typed fields were swapped both ways).
-    std::vector<WorkloadSpec> variants;
-    const auto variant = [&](auto mutate) {
-        WorkloadSpec s;
-        mutate(s);
-        variants.push_back(s);
+    // Specs are encoded only to be hashed: a field the encoder drops
+    // would let a checkpoint of one sweep resume another. Each field
+    // moved alone must change the fingerprint, and no two fields may
+    // land on the same encoding.
+    const auto fingerprint = [](const SystemConfig &cfg) {
+        return sweepFingerprint({ExperimentSpec{cfg, 1, "spec"}});
     };
-    variant([](WorkloadSpec &s) { s.uniformBlocks = 123; });
-    variant([](WorkloadSpec &s) { s.storeFraction = 0.71875; });
-    variant([](WorkloadSpec &s) { s.prodConsBlocks = 77; });
-    variant([](WorkloadSpec &s) { s.lockBlocks = 3; });
-    variant([](WorkloadSpec &s) { s.sectionOps = -9; });
-    variant([](WorkloadSpec &s) { s.ycsbRecords = 31; });
-    variant([](WorkloadSpec &s) { s.ycsbTheta = 1.25; });
-    variant([](WorkloadSpec &s) { s.ycsbReadFraction = 0.15625; });
-    variant([](WorkloadSpec &s) { s.ycsbUpdateFraction = 0.46875; });
-    variant([](WorkloadSpec &s) { s.ycsbScanLen = 201; });
-    variant([](WorkloadSpec &s) { s.tpccWarehouses = 513; });
-    variant([](WorkloadSpec &s) { s.tpccHomeFraction = 0.21875; });
-    variant([](WorkloadSpec &s) { s.tpccOpsPerTxn = 1001; });
-    variant([](WorkloadSpec &s) { s.tpccThinkOps = -2; });
-    for (const WorkloadSpec &spec : variants) {
-        WireWriter w;
-        encodeWorkloadSpec(w, spec);
-        WireReader r(w.buffer());
-        const WorkloadSpec back = decodeWorkloadSpec(r);
-        EXPECT_NO_THROW(r.expectEnd("workload spec"));
-        EXPECT_TRUE(back == spec);
+    std::set<std::uint64_t> seen{fingerprint(SystemConfig{})};
+    const std::vector<ConfigMutation> mutations = configMutations();
+    for (std::size_t i = 0; i < mutations.size(); ++i) {
+        SCOPED_TRACE("mutation " + std::to_string(i));
+        SystemConfig cfg;
+        mutations[i](cfg);
+        EXPECT_TRUE(seen.insert(fingerprint(cfg)).second);
     }
-}
-
-TEST(WireStructs, TenantListRoundTripsAndEmptyStaysEmpty)
-{
-    SystemConfig cfg;
-    EXPECT_TRUE(cfg.tenants.empty());
-    {
-        WireWriter w;
-        encodeSystemConfig(w, cfg);
-        WireReader r(w.buffer());
-        EXPECT_TRUE(decodeSystemConfig(r).tenants.empty());
-    }
-    TenantSpec a;
-    a.workload = WorkloadSpec("ycsb");
-    a.workload.ycsbRecords = 2048;
-    a.nodes = 192;
-    TenantSpec b;
-    b.workload = WorkloadSpec("tpcc");
-    b.workload.tpccThinkOps = 2;
-    b.nodes = 64;
-    cfg.numNodes = 256;
-    cfg.tenants = {a, b};
-    WireWriter w;
-    encodeSystemConfig(w, cfg);
-    WireReader r(w.buffer());
-    const SystemConfig back = decodeSystemConfig(r);
-    ASSERT_EQ(back.tenants.size(), 2u);
-    EXPECT_TRUE(back.tenants[0] == a);
-    EXPECT_TRUE(back.tenants[1] == b);
-}
-
-TEST(WireStructs, SystemConfigRoundTripsEveryField)
-{
-    const SystemConfig cfg = exhaustiveConfig();
-    WireWriter w;
-    encodeSystemConfig(w, cfg);
-    WireReader r(w.buffer());
-    const SystemConfig back = decodeSystemConfig(r);
-    EXPECT_NO_THROW(r.expectEnd("config"));
-    expectSameConfig(cfg, back);
-}
-
-TEST(WireStructs, DefaultSystemConfigRoundTrips)
-{
-    WireWriter w;
-    encodeSystemConfig(w, SystemConfig{});
-    WireReader r(w.buffer());
-    expectSameConfig(SystemConfig{}, decodeSystemConfig(r));
-}
-
-TEST(WireStructs, ExperimentSpecRoundTrips)
-{
-    ExperimentSpec spec;
-    spec.cfg = exhaustiveConfig();
-    spec.seeds = 17;
-    spec.label = "TokenB - torus (inf bw)";
-    WireWriter w;
-    encodeExperimentSpec(w, spec);
-    WireReader r(w.buffer());
-    const ExperimentSpec back = decodeExperimentSpec(r);
-    EXPECT_NO_THROW(r.expectEnd("spec"));
-    expectSameConfig(spec.cfg, back.cfg);
-    EXPECT_EQ(back.seeds, 17);
-    EXPECT_EQ(back.label, spec.label);
 }
 
 TEST(WireStructs, ResultsRoundTripBitExactly)
@@ -533,22 +401,6 @@ TEST(WireStructs, CustomWorkloadFactoryIsRejected)
     EXPECT_THROW(encodeSystemConfig(w, cfg), WireError);
 }
 
-TEST(WireStructs, TruncationAtEveryByteOffsetIsATypedError)
-{
-    // The cornerstone fuzz property (same loop as test_trace.cc):
-    // every proper prefix of a valid encoding must throw WireError —
-    // no crash, no out-of-bounds read, no accidental success.
-    WireWriter w;
-    encodeExperimentSpec(w, ExperimentSpec{exhaustiveConfig(), 3,
-                                           "trunc"});
-    const std::string full = w.buffer();
-    for (std::size_t cut = 0; cut < full.size(); ++cut) {
-        SCOPED_TRACE("cut=" + std::to_string(cut));
-        WireReader r(full.data(), cut);
-        EXPECT_THROW(decodeExperimentSpec(r), WireError);
-    }
-}
-
 TEST(WireStructs, ResultsTruncationAtEveryByteOffsetIsATypedError)
 {
     WireWriter w;
@@ -559,19 +411,6 @@ TEST(WireStructs, ResultsTruncationAtEveryByteOffsetIsATypedError)
         WireReader r(full.data(), cut);
         EXPECT_THROW(decodeResults(r), WireError);
     }
-}
-
-TEST(WireStructs, ProtocolByteOutOfRangeIsATypedError)
-{
-    WireWriter w;
-    encodeSystemConfig(w, SystemConfig{});
-    std::string buf = w.take();
-    // The protocol byte follows numNodes (svarint 16 -> 1 byte) and
-    // topology ("torus": varint len + 5 bytes).
-    const std::size_t proto_at = 1 + 1 + 5;
-    buf[proto_at] = char(200);
-    WireReader r(buf);
-    EXPECT_THROW(decodeSystemConfig(r), WireError);
 }
 
 TEST(WireStructs, DuplicateMetricNameOnWireIsATypedError)
@@ -866,6 +705,13 @@ warmedSnapshot(const SystemConfig &cfg, std::uint64_t ff_ops = 400)
     return saveWarmSnapshot(sys);
 }
 
+/** One family per distinct warm-state codec: the shared MOSI cache
+ *  and its three homes, and the token cache and home. */
+const ProtocolKind kCodecFamilies[] = {
+    ProtocolKind::snooping, ProtocolKind::directory,
+    ProtocolKind::hammer, ProtocolKind::tokenB,
+};
+
 TEST(WireSnapshot, EveryStateClassRoundTripsToIdenticalBytes)
 {
     // Canonical-encoding property per protocol family: decoding a
@@ -873,11 +719,7 @@ TEST(WireSnapshot, EveryStateClassRoundTripsToIdenticalBytes)
     // byte-identical buffer. (tokenD/M/A/Null share TokenB's codec
     // path — test_sampling.cc covers them; the families with distinct
     // warm-state codecs are what matters here.)
-    const ProtocolKind protos[] = {
-        ProtocolKind::snooping, ProtocolKind::directory,
-        ProtocolKind::hammer, ProtocolKind::tokenB,
-    };
-    for (ProtocolKind proto : protos) {
+    for (ProtocolKind proto : kCodecFamilies) {
         SCOPED_TRACE(protocolName(proto));
         const SystemConfig cfg = snapshotConfig(proto);
         const std::string snap = warmedSnapshot(cfg);
@@ -938,24 +780,28 @@ TEST(WireSnapshot, WrongShapeFingerprintIsATypedError)
 
 TEST(WireSnapshot, TruncationAtEveryByteOffsetIsATypedError)
 {
-    const SystemConfig cfg = snapshotConfig(ProtocolKind::tokenB);
-    const std::string full = warmedSnapshot(cfg, 200);
-    System sys(cfg);
-    for (std::size_t cut = 0; cut < full.size(); ++cut) {
-        SCOPED_TRACE("cut=" + std::to_string(cut));
-        ASSERT_TRUE(sys.reset(cfg));
-        try {
-            loadWarmSnapshot(sys, full.substr(0, cut));
-            FAIL() << "truncated snapshot loaded";
-        } catch (const WireError &) {
-            // Ran off the end of a field: the common case.
-        } catch (const SnapshotError &) {
-            // Truncation inside the fingerprint varint shortens it to
-            // a valid smaller value: reads as a shape mismatch.
+    for (ProtocolKind proto : kCodecFamilies) {
+        SCOPED_TRACE(protocolName(proto));
+        const SystemConfig cfg = snapshotConfig(proto);
+        const std::string full = warmedSnapshot(cfg, 200);
+        System sys(cfg);
+        for (std::size_t cut = 0; cut < full.size(); ++cut) {
+            SCOPED_TRACE("cut=" + std::to_string(cut));
+            ASSERT_TRUE(sys.reset(cfg));
+            try {
+                loadWarmSnapshot(sys, full.substr(0, cut));
+                FAIL() << "truncated snapshot loaded";
+            } catch (const WireError &) {
+                // Ran off the end of a field: the common case.
+            } catch (const SnapshotError &) {
+                // Truncation inside the fingerprint varint shortens
+                // it to a valid smaller value: reads as a shape
+                // mismatch.
+            }
         }
+        ASSERT_TRUE(sys.reset(cfg));
+        EXPECT_NO_THROW(loadWarmSnapshot(sys, full));
     }
-    ASSERT_TRUE(sys.reset(cfg));
-    EXPECT_NO_THROW(loadWarmSnapshot(sys, full));
 }
 
 TEST(WireSnapshot, CorruptByteSweepNeverCrashesOrMisparses)
@@ -969,22 +815,25 @@ TEST(WireSnapshot, CorruptByteSweepNeverCrashesOrMisparses)
     // with the corrupted input is not the contract, idempotence of
     // the restored state is.) Anything else — a crash, an untyped
     // exception — fails the test.
-    const SystemConfig cfg = snapshotConfig(ProtocolKind::tokenB);
-    const std::string good = warmedSnapshot(cfg, 200);
-    System sys(cfg);
-    for (std::size_t i = 0; i < good.size(); ++i) {
-        SCOPED_TRACE("flip=" + std::to_string(i));
-        std::string bad = good;
-        bad[i] = static_cast<char>(bad[i] ^ 0x40);
-        ASSERT_TRUE(sys.reset(cfg));
-        try {
-            loadWarmSnapshot(sys, bad);
-            const std::string re = saveWarmSnapshot(sys);
+    for (ProtocolKind proto : kCodecFamilies) {
+        SCOPED_TRACE(protocolName(proto));
+        const SystemConfig cfg = snapshotConfig(proto);
+        const std::string good = warmedSnapshot(cfg, 200);
+        System sys(cfg);
+        for (std::size_t i = 0; i < good.size(); ++i) {
+            SCOPED_TRACE("flip=" + std::to_string(i));
+            std::string bad = good;
+            bad[i] = static_cast<char>(bad[i] ^ 0x40);
             ASSERT_TRUE(sys.reset(cfg));
-            loadWarmSnapshot(sys, re);
-            EXPECT_EQ(saveWarmSnapshot(sys), re);
-        } catch (const WireError &) {
-        } catch (const SnapshotError &) {
+            try {
+                loadWarmSnapshot(sys, bad);
+                const std::string re = saveWarmSnapshot(sys);
+                ASSERT_TRUE(sys.reset(cfg));
+                loadWarmSnapshot(sys, re);
+                EXPECT_EQ(saveWarmSnapshot(sys), re);
+            } catch (const WireError &) {
+            } catch (const SnapshotError &) {
+            }
         }
     }
 }
