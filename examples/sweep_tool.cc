@@ -1,73 +1,34 @@
 /**
  * @file
- * Sweep CLI: run a protocol x workload experiment matrix through the
- * ParallelRunner — on threads, or on forked worker processes — or
- * through the serial oracle loop, for comparison.
+ * The simulator's command-line tool.
  *
  *   $ ./sweep_tool run [options]
+ *   $ ./sweep_tool trace record OUT [run options]
+ *   $ ./sweep_tool trace dump PATH [node [limit]]
+ *   $ ./sweep_tool trace stats PATH
+ *   $ ./sweep_tool --help          (every option, with its default)
  *
- * `run` prints exactly one machine-parseable line per design point on
- * stdout — `<label> <resultDigest()>` in spec order — so piping or
- * diffing sweep outputs works unconditionally; all progress, partial
+ * `run` sweeps a protocol x workload matrix through the
+ * ParallelRunner — on threads, or on forked worker processes — or
+ * through the serial oracle loop, for comparison. It prints exactly
+ * one machine-parseable line per design point on stdout —
+ * `<label> <resultDigest()>` in spec order — so piping or diffing
+ * sweep outputs works unconditionally; all progress, partial
  * aggregates, and the --stats summary go to stderr. Because every
  * executor is bit-identical, `diff <(sweep_tool run --serial ...)
  * <(sweep_tool run --workers 8 ...)` must always be empty — CI's
  * multi-process smoke step enforces exactly that.
  *
- * Options (run):
- *   --protocols a,b,c  comma list (default tokenb,snooping)
- *   --workloads a,b    comma list of presets or trace:PATH entries
- *                      (default oltp)
- *   --tenants p:N,p:N  multi-tenant mode: co-schedule these preset
- *                      workloads on contiguous disjoint node groups
- *                      (counts must sum to --nodes); replaces the
- *                      --workloads axis and adds per-tenant
- *                      diagnostic metrics to --metrics output
- *   --topology T       torus|tree (default: tree for snooping, else
- *                      torus)
- *   --nodes N          processors per system (default 8)
- *   --ops N            measured ops/processor (default 1000)
- *   --warmup N         warmup ops/processor (default 0)
- *   --l2-kb N          L2 size per node in KB (default: Table 1's
- *                      4096; small values make 256-1024-node sweeps
- *                      fit in memory)
- *   --l1-kb N          L1 size per node in KB (default 64)
- *   --sample FF:WIN:N  SMARTS-style sampling on every design point:
- *                      alternate FF fast-forwarded ops with WIN
- *                      detailed ops, N windows; --ops is ignored and
- *                      sampled means carry across-window stderr
- *   --snapshot PATH    warm-state snapshot reuse: if PATH exists,
- *                      load it into every design point (warmup
- *                      skipped); else fast-forward --warmup ops once,
- *                      save to PATH, and use it. Requires --seeds 1
- *                      and design points differing only in timing
- *                      knobs; any shape/workload/seed mismatch is a
- *                      typed error before the sweep starts
- *   --seeds N          seeds per design point (default 2)
- *   --seed S           base seed (default 1)
- *   --workers N        forked worker processes (default 0 = run on
- *                      threads)
- *   --threads N        worker threads when workers = 0 (default:
- *                      TOKENSIM_THREADS, else all cores)
- *   --serial           serial runExperiment loop (the oracle)
- *   --checkpoint PATH  crash-safe checkpoint: append each completed
- *                      shard to PATH; rerunning the same sweep with
- *                      the same PATH resumes instead of recomputing
- *                      (threads or workers, not --serial)
- *   --retries N        max reassignments of one shard after worker
- *                      deaths (default 2)
- *   --shard-timeout MS per-shard hang deadline in ms; 0 = auto (10x
- *                      the slowest completed shard of the same
- *                      design point, >= 10 s), -1 = off (default 0)
- *   --progress         stream shard/partial-aggregate lines (stderr;
- *                      checkpoint and worker-lifecycle lines print
- *                      regardless)
- *   --stats            print a summary table after the run (stderr)
- *   --metrics          dump every named metric of every design
- *                      point's merged registry (stderr)
- *   --help             print option summary with defaults
+ * `trace record` is `run` for one design point and one seed that also
+ * writes the op streams it pulled to OUT. Replay is `run --workloads
+ * trace:PATH` with the flags `trace stats` prints: the replay's digest
+ * equals the recording's, bit for bit (tests/cli.cmake checks it).
+ * `trace dump` lists one node's ops.
+ *
+ * Malformed input exits 1 with one `sweep_tool: ...` line on stderr.
  */
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -80,31 +41,50 @@
 #include "harness/parallel_runner.hh"
 #include "harness/snapshot.hh"
 #include "harness/system.hh"
+#include "workload/trace.hh"
 
 using namespace tokensim;
 
 namespace {
 
+std::string
+lower(std::string s)
+{
+    for (char &c : s)
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return s;
+}
+
+/** The --protocols names: every protocolName(), lower-cased. */
+std::string
+protocolList()
+{
+    std::string out;
+    for (ProtocolKind k : kAllProtocols)
+        out += (out.empty() ? "" : ",") + lower(protocolName(k));
+    return out;
+}
+
+std::string
+presetList()
+{
+    std::string out;
+    for (const char *p : kWorkloadPresets)
+        out += (out.empty() ? "" : ",") + std::string(p);
+    return out;
+}
+
+/** A --protocols name, matched case-insensitively. */
 ProtocolKind
 parseProtocol(const std::string &s)
 {
-    if (s == "tokenb")
-        return ProtocolKind::tokenB;
-    if (s == "tokend")
-        return ProtocolKind::tokenD;
-    if (s == "tokenm")
-        return ProtocolKind::tokenM;
-    if (s == "tokena")
-        return ProtocolKind::tokenA;
-    if (s == "tokennull")
-        return ProtocolKind::tokenNull;
-    if (s == "snooping")
-        return ProtocolKind::snooping;
-    if (s == "directory")
-        return ProtocolKind::directory;
-    if (s == "hammer")
-        return ProtocolKind::hammer;
-    throw std::invalid_argument("unknown protocol: " + s);
+    for (ProtocolKind k : kAllProtocols) {
+        if (lower(s) == lower(protocolName(k)))
+            return k;
+    }
+    throw std::invalid_argument("unknown protocol \"" + s +
+                                "\" (protocols: " + protocolList() +
+                                ")");
 }
 
 std::vector<std::string>
@@ -150,20 +130,29 @@ struct Options
     bool stats = false;
     bool metrics = false;
     bool help = false;
+    std::string recordTrace;  // trace record's OUT (not a flag)
 };
 
-/** Option summary (--help / bad usage), with the live defaults. */
+/** Command and option summary, with the live defaults. */
 void
-printHelp(const char *argv0)
+printHelp(std::FILE *out, const char *argv0)
 {
     const Options d;
     std::fprintf(
-        stderr,
+        out,
         "usage: %s run [options]\n"
+        "       %s trace record OUT [run options]  (one design point, "
+        "--seeds 1)\n"
+        "       %s trace dump PATH [node [limit]]\n"
+        "       %s trace stats PATH   (prints the run flags that "
+        "replay PATH)\n"
         "\n"
         "run options:\n"
-        "  --protocols a,b,c   comma list (default tokenb,snooping)\n"
-        "  --workloads a,b     presets or trace:PATH (default oltp)\n"
+        "  --protocols a,b,c   comma list (default tokenb,snooping) of\n"
+        "                      %s\n"
+        "  --workloads a,b     comma list (default oltp) of trace:PATH "
+        "or\n"
+        "                      %s\n"
         "  --tenants p:N,p:N   co-schedule preset workloads on "
         "contiguous disjoint\n"
         "                      node groups (counts sum to --nodes); "
@@ -215,7 +204,8 @@ printHelp(const char *argv0)
         "  --stats             summary table after the run (stderr)\n"
         "  --metrics           dump merged metric registries "
         "(stderr)\n",
-        argv0, d.nodes,
+        argv0, argv0, argv0, argv0, protocolList().c_str(),
+        presetList().c_str(), d.nodes,
         static_cast<unsigned long long>(d.ops),
         static_cast<unsigned long long>(d.warmup), d.seeds,
         static_cast<unsigned long long>(d.seed), d.retries,
@@ -522,6 +512,22 @@ int
 runSweep(const Options &o)
 {
     std::vector<ExperimentSpec> specs = buildMatrix(o);
+    if (!o.recordTrace.empty()) {
+        if (specs.size() != 1 || o.seeds != 1) {
+            throw std::invalid_argument(
+                "trace record needs one design point and --seeds 1, "
+                "got " + std::to_string(specs.size()) + " x " +
+                std::to_string(o.seeds));
+        }
+        // A restored shard would skip the run that writes the trace.
+        // (The runner and System reject --workers, --sample and
+        // --snapshot with a recorded trace themselves.)
+        if (!o.checkpoint.empty()) {
+            throw std::invalid_argument(
+                "--checkpoint does not apply to trace record");
+        }
+        specs.front().cfg.recordTrace = o.recordTrace;
+    }
     if (!o.snapshot.empty())
         attachSnapshot(o, specs);
 
@@ -570,6 +576,14 @@ runSweep(const Options &o)
     for (const ExperimentResult &r : results)
         std::printf("%s %s\n", r.label.c_str(),
                     resultDigest(r).c_str());
+    if (!o.recordTrace.empty()) {
+        const auto trace = TraceData::load(o.recordTrace);
+        std::fprintf(stderr, "sweep: recorded %s (%llu ops over %u "
+                             "nodes)\n",
+                     o.recordTrace.c_str(),
+                     static_cast<unsigned long long>(trace->totalOps()),
+                     trace->numNodes());
+    }
 
     if (o.stats) {
         std::fprintf(stderr, "\n%-24s %12s %12s %10s %8s\n", "label",
@@ -588,11 +602,135 @@ runSweep(const Options &o)
     return 0;
 }
 
+/** trace dump PATH [node [limit]]: node's first ops, one a line. */
 int
-usage(const char *argv0)
+traceDump(const std::string &path, int argc, char **argv, int first)
 {
-    printHelp(argv0);
-    return 64;
+    if (argc > first + 2)
+        throw std::invalid_argument("trace dump takes PATH [node [limit]]");
+    const auto trace = TraceData::load(path);
+    const int node = argc > first
+        ? parseInt("node", argv[first], 0,
+                   static_cast<int>(trace->numNodes()) - 1)
+        : 0;
+    const std::uint64_t limit =
+        argc > first + 1 ? parseU64("limit", argv[first + 1]) : 32;
+
+    TraceData::Reader r(*trace, static_cast<NodeId>(node));
+    std::printf("# node %d: %llu ops\n", node,
+                static_cast<unsigned long long>(
+                    trace->opsForNode(static_cast<NodeId>(node))));
+    for (std::uint64_t i = 0; i < limit && !r.done(); ++i) {
+        const WorkloadOp op = r.next();
+        std::printf("%6llu  %-5s 0x%012llx%s\n",
+                    static_cast<unsigned long long>(i),
+                    op.op == MemOp::store ? "store" : "load",
+                    static_cast<unsigned long long>(op.addr),
+                    op.endsTransaction ? "  [txn]" : "");
+    }
+    return 0;
+}
+
+double
+percent(std::uint64_t part, std::uint64_t whole)
+{
+    return whole ? 100.0 * static_cast<double>(part) /
+                       static_cast<double>(whole)
+                 : 0.0;
+}
+
+/**
+ * trace stats PATH: header, per-node op and store counts, and the
+ * `run` flags that replay the recording.
+ */
+int
+traceStats(const std::string &path)
+{
+    const auto trace = TraceData::load(path);
+    const TraceHeader &hdr = trace->header();
+    std::printf("trace:      %s\n", path.c_str());
+    std::printf("provenance: %s (seed %llu, warmup %llu "
+                "ops/processor)\n",
+                hdr.provenance.c_str(),
+                static_cast<unsigned long long>(hdr.seed),
+                static_cast<unsigned long long>(
+                    hdr.warmupOpsPerProcessor));
+    std::printf("geometry:   %u nodes, %u-byte blocks\n",
+                hdr.numNodes, hdr.blockBytes);
+
+    std::uint64_t stores = 0, txns = 0;
+    for (std::uint32_t n = 0; n < hdr.numNodes; ++n) {
+        const auto node = static_cast<NodeId>(n);
+        TraceData::Reader r(*trace, node);
+        std::uint64_t node_stores = 0;
+        while (!r.done()) {
+            const WorkloadOp op = r.next();
+            node_stores += op.op == MemOp::store;
+            txns += op.endsTransaction;
+        }
+        stores += node_stores;
+        std::printf("  node %2u: %8llu ops (%4.1f%% stores)\n", n,
+                    static_cast<unsigned long long>(
+                        trace->opsForNode(node)),
+                    percent(node_stores, trace->opsForNode(node)));
+    }
+    std::printf("total:      %llu ops, %llu transactions, "
+                "%.1f%% stores\n",
+                static_cast<unsigned long long>(trace->totalOps()),
+                static_cast<unsigned long long>(txns),
+                percent(stores, trace->totalOps()));
+
+    // A recording run pulls exactly warmup + ops per node, so these
+    // flags rebuild its budgets; add the recording's machine flags
+    // (--protocols, --topology, cache sizes) to match its digest.
+    const std::uint64_t per_node = trace->minOpsPerNode();
+    if (per_node > hdr.warmupOpsPerProcessor) {
+        std::printf("replay:     run --workloads trace:%s --nodes %u "
+                    "--seed %llu --warmup %llu --ops %llu\n",
+                    path.c_str(), hdr.numNodes,
+                    static_cast<unsigned long long>(hdr.seed),
+                    static_cast<unsigned long long>(
+                        hdr.warmupOpsPerProcessor),
+                    static_cast<unsigned long long>(
+                        per_node - hdr.warmupOpsPerProcessor));
+    } else {
+        std::printf("replay:     no ops past the warmup; pass --ops "
+                    "to wrap the streams\n");
+    }
+    return 0;
+}
+
+/** `run` or `trace record`, after the command words. */
+int
+runCommand(const char *argv0, int argc, char **argv, int first,
+           const std::string &record_path)
+{
+    Options o = parseOptions(argc, argv, first);
+    if (o.help) {
+        printHelp(stdout, argv0);
+        return 0;
+    }
+    o.recordTrace = record_path;
+    return runSweep(o);
+}
+
+int
+traceCommand(const char *argv0, int argc, char **argv)
+{
+    const std::string sub = argc > 2 ? argv[2] : "";
+    if (argc < 4 || (sub != "record" && sub != "dump" && sub != "stats")) {
+        throw std::invalid_argument(
+            "trace wants record OUT [run options] | dump PATH "
+            "[node [limit]] | stats PATH");
+    }
+    const std::string path = argv[3];
+    if (sub == "record")
+        return runCommand(argv0, argc, argv, 4, path);
+    if (sub == "dump")
+        return traceDump(path, argc, argv, 4);
+    if (argc > 4)
+        throw std::invalid_argument("trace stats takes only PATH");
+    return traceStats(path);
 }
 
 } // namespace
@@ -600,25 +738,25 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage(argv[0]);
+    if (argc < 2) {
+        printHelp(stderr, argv[0]);
+        return 64;
+    }
     const std::string mode = argv[1];
     try {
         if (mode == "--help" || mode == "-h" || mode == "help") {
-            printHelp(argv[0]);
+            printHelp(stdout, argv[0]);
             return 0;
         }
-        if (mode == "run") {
-            const Options o = parseOptions(argc, argv, 2);
-            if (o.help) {
-                printHelp(argv[0]);
-                return 0;
-            }
-            return runSweep(o);
-        }
+        if (mode == "run")
+            return runCommand(argv[0], argc, argv, 2, "");
+        if (mode == "trace")
+            return traceCommand(argv[0], argc, argv);
+        throw std::invalid_argument("unknown command \"" + mode +
+                                    "\" (commands: run, trace; see "
+                                    "--help)");
     } catch (const std::exception &e) {
         std::fprintf(stderr, "sweep_tool: %s\n", e.what());
         return 1;
     }
-    return usage(argv[0]);
 }

@@ -1,5 +1,6 @@
 #include "cpu/sequencer.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tokensim {
@@ -245,6 +246,16 @@ Sequencer::adoptWarmProgress(std::uint64_t warm_ops)
     issuedCtl_ = warm_ops;
     completedCtl_ = warm_ops;
     workload_->skip(warm_ops);
+}
+
+std::vector<Addr>
+Sequencer::busyBlocks() const
+{
+    std::vector<Addr> out;
+    out.reserve(busyBlocks_.size());
+    busyBlocks_.forEach([&out](Addr a) { out.push_back(a); });
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 void

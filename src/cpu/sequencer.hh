@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
+#include <vector>
 
 #include "mem/block_map.hh"
 #include "mem/cache.hh"
@@ -165,6 +166,12 @@ class Sequencer
      * any protocol with the same budget (tests/test_trace.cc pins it).
      */
     std::uint64_t opsPulled() const { return pulledCtl_; }
+
+    /** Operations issued to the L2 and not yet completed. */
+    int outstanding() const { return outstanding_; }
+
+    /** Block addresses with an operation in flight, ascending. */
+    std::vector<Addr> busyBlocks() const;
 
     /**
      * Arm a completion milestone: when the completed-op count reaches

@@ -73,7 +73,7 @@ bool identicalResults(const ExperimentResult &a,
  * identicalResults() for -0.0 vs +0.0 and, unlike operator!=, stable
  * for NaN — which is what a stored regression oracle needs: the
  * golden-trace suite commits digests next to its traces and
- * trace_tool prints them for ad-hoc comparison.
+ * sweep_tool prints them for ad-hoc comparison.
  */
 std::string resultDigest(const ExperimentResult &r);
 

@@ -1,6 +1,7 @@
 #include "harness/system.hh"
 
 #include <cassert>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/ext/tokena.hh"
@@ -564,10 +565,8 @@ System::run()
         const bool warmed = eq_.runUntil(
             [&warmCount, n]() { return warmCount >= n; },
             cfg_.maxTicks);
-        if (!warmed) {
-            throw std::runtime_error(
-                "simulation exceeded maxTicks during warmup");
-        }
+        if (!warmed)
+            failStalled("simulation exceeded maxTicks during warmup");
         resetStats();
     }
 
@@ -582,9 +581,8 @@ System::run()
     for (auto &s : sequencers_)
         s->setMilestone(0, nullptr);
     if (!finished) {
-        throw std::runtime_error(
-            "simulation exceeded maxTicks before completing - "
-            "possible protocol deadlock or starvation");
+        failStalled("simulation exceeded maxTicks before completing - "
+                    "possible protocol deadlock or starvation");
     }
     // Drain all in-flight protocol activity (evictions, persistent
     // deactivation handshakes, late token redirects).
@@ -622,10 +620,8 @@ System::runSampled(std::uint64_t base)
         const bool warmed = eq_.runUntil(
             [&warmCount, n]() { return warmCount >= n; },
             cfg_.maxTicks);
-        if (!warmed) {
-            throw std::runtime_error(
-                "simulation exceeded maxTicks during warmup");
-        }
+        if (!warmed)
+            failStalled("simulation exceeded maxTicks during warmup");
         for (auto &s : sequencers_)
             s->setMilestone(0, nullptr);
         if (!eq_.run(cfg_.maxTicks)) {
@@ -650,9 +646,9 @@ System::runSampled(std::uint64_t base)
         for (auto &s : sequencers_)
             s->setMilestone(0, nullptr);
         if (!finished) {
-            throw std::runtime_error(
-                "simulation exceeded maxTicks in a sampled window - "
-                "possible protocol deadlock or starvation");
+            failStalled("simulation exceeded maxTicks in a sampled "
+                        "window - possible protocol deadlock or "
+                        "starvation");
         }
         if (!eq_.run(cfg_.maxTicks)) {
             throw std::runtime_error(
@@ -666,6 +662,27 @@ System::runSampled(std::uint64_t base)
     }
     sampledResults_ = std::move(pooled);
     sampledValid_ = true;
+}
+
+void
+System::failStalled(const char *max_ticks_msg) const
+{
+    if (!eq_.empty())
+        throw std::runtime_error(max_ticks_msg);
+    std::ostringstream msg;
+    msg << "deadlock at tick " << eq_.curTick() << " ("
+        << ticksToNsF(eq_.curTick()) << " ns)"
+        << ": event queue drained with operations outstanding";
+    for (const auto &s : sequencers_) {
+        if (s->outstanding() == 0)
+            continue;
+        msg << "; node " << s->nodeId() << ": " << s->outstanding()
+            << " outstanding on" << std::hex;
+        for (Addr a : s->busyBlocks())
+            msg << " 0x" << a;
+        msg << std::dec;
+    }
+    throw DeadlockError(msg.str());
 }
 
 /**

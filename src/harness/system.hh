@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,18 @@
 #include "workload/workload.hh"
 
 namespace tokensim {
+
+/**
+ * A run that cannot finish: the event queue drained while processors
+ * still had operations outstanding, so no future event can complete
+ * them. The message names the tick, each node with outstanding
+ * operations, and the blocks those operations are in flight on.
+ */
+class DeadlockError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /**
  * SMARTS-style systematic sampling (Wunderlich et al., ISCA 2003):
@@ -247,6 +260,8 @@ class System
     /**
      * Run to completion: all sequencers retire their budget, then the
      * system drains (all in-flight protocol activity settles).
+     * @throws DeadlockError if the event queue drains with operations
+     *         outstanding.
      * @throws std::runtime_error if maxTicks passes first.
      */
     void run();
@@ -508,6 +523,11 @@ class System
      *  sampledResults_. @p base is the per-node op count already
      *  completed when run() started (warm-snapshot progress). */
     void runSampled(std::uint64_t base);
+
+    /** Report a run loop that stopped short of its milestone:
+     *  DeadlockError if the event queue drained, else @p max_ticks_msg
+     *  (maxTicks passed with events still queued). */
+    [[noreturn]] void failStalled(const char *max_ticks_msg) const;
 
     /** Collect the current window/run counters (never the pooled
      *  sampled results). */

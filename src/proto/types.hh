@@ -35,6 +35,14 @@ enum class ProtocolKind : std::uint8_t
     tokenNull,      ///< null performance protocol (persistent reqs only)
 };
 
+/** Every protocol, in enum order (extend together with the enum). */
+inline constexpr ProtocolKind kAllProtocols[] = {
+    ProtocolKind::snooping, ProtocolKind::directory,
+    ProtocolKind::hammer,   ProtocolKind::tokenB,
+    ProtocolKind::tokenD,   ProtocolKind::tokenM,
+    ProtocolKind::tokenA,   ProtocolKind::tokenNull,
+};
+
 /** Human-readable protocol name. */
 const char *protocolName(ProtocolKind k);
 

@@ -27,6 +27,12 @@
 
 namespace tokensim {
 
+/** Every synthetic preset name a WorkloadSpec accepts. */
+inline constexpr const char *kWorkloadPresets[] = {
+    "oltp", "apache", "specjbb", "producer-consumer", "lock-ping",
+    "uniform", "hot", "private", "ycsb", "tpcc",
+};
+
 /** Names an experiment's operation source: preset or recorded trace. */
 struct WorkloadSpec
 {

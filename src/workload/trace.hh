@@ -227,8 +227,8 @@ class RecordingWorkload : public Workload
  * Replays one node's recorded stream as a drop-in Workload. Pulling
  * past the recorded length wraps around to the start of the stream
  * (so a replay budget larger than the recording still runs; exact
- * reproduction requires matching budgets — trace_tool stats prints
- * the recorded counts).
+ * reproduction requires matching budgets — `sweep_tool trace stats`
+ * prints the run flags that reproduce them).
  */
 class TraceWorkload : public Workload
 {

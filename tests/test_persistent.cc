@@ -174,5 +174,48 @@ TEST(Persistent, PersistentRequestOnBlockHomedAtRequester)
     EXPECT_TRUE(tmem(d, 0).arbiter().quiescent());
 }
 
+TEST(Persistent, WholeSystemStarvationFreedomOnOneHotBlock)
+{
+    // Section 3.2's stress case on a whole System: eight processors on
+    // a torus hammer one block with 90% stores, where racing transient
+    // requests could starve a requester forever. TokenB resolves the
+    // races with reissues and the odd persistent request; TokenNull,
+    // which never sends a transient request, resolves every miss
+    // through the arbiter. Every op completes and tokens stay
+    // conserved either way.
+    for (const auto &[proto, ops] :
+         {std::pair{ProtocolKind::tokenB, std::uint64_t{2000}},
+          std::pair{ProtocolKind::tokenNull, std::uint64_t{100}}}) {
+        SCOPED_TRACE(protocolName(proto));
+        SystemConfig cfg;
+        cfg.numNodes = 8;
+        cfg.topology = "torus";
+        cfg.protocol = proto;
+        cfg.workload = "hot";
+        cfg.workload.storeFraction = 0.9;
+        cfg.opsPerProcessor = ops;
+        cfg.attachAuditor = true;
+        System sys(cfg);
+        sys.run();
+
+        const System::Results r = sys.results();
+        EXPECT_EQ(r.ops(), 8 * ops);
+        EXPECT_GT(r.misses(), 0u);
+        std::string err;
+        EXPECT_TRUE(sys.auditor()->auditAll(&err)) << err;
+        if (proto != ProtocolKind::tokenNull)
+            continue;
+        EXPECT_EQ(r.missesPersistent(), r.misses());
+        std::uint64_t activations = 0;
+        for (NodeId n = 0; n < 8; ++n) {
+            activations += dynamic_cast<TokenBMemory &>(sys.memory(n))
+                               .arbiter()
+                               .stats()
+                               .activations;
+        }
+        EXPECT_GT(activations, 0u);
+    }
+}
+
 } // namespace
 } // namespace tokensim

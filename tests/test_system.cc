@@ -368,5 +368,52 @@ TEST(BaselineEviction, OwnedLinesSurviveSmallL2Contention)
     }
 }
 
+TEST(SystemStall, DrainedQueueWithOpsOutstandingIsATypedDeadlock)
+{
+    // A known TokenNull deadlock under eviction pressure: the event
+    // queue drains at ~73 us with operations still outstanding, so no
+    // future event can complete them. The run must report a
+    // DeadlockError naming the stuck nodes and blocks, not the maxTicks
+    // message. Once the persistent-request bug is fixed this becomes a
+    // must-complete regression case (ROADMAP item 9(c)).
+    SystemConfig cfg = baseConfig(ProtocolKind::tokenNull, "torus",
+                                  "uniform");
+    cfg.workload.uniformBlocks = 48;
+    cfg.l2 = CacheParams{512, 2, 64, nsToTicks(6)};
+    cfg.seq.maxOutstanding = 4;
+    cfg.seed = 870;
+    cfg.opsPerProcessor = 300;
+    System sys(cfg);
+    try {
+        sys.run();
+        FAIL() << "the known TokenNull deadlock ran to completion";
+    } catch (const DeadlockError &e) {
+        const std::string msg = e.what();
+        EXPECT_TRUE(sys.eq().empty());
+        EXPECT_NE(msg.find("deadlock at tick"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("; node "), std::string::npos) << msg;
+        EXPECT_NE(msg.find(" outstanding on 0x"), std::string::npos)
+            << msg;
+    }
+}
+
+TEST(SystemStall, LiveQueuePastMaxTicksKeepsTheMaxTicksError)
+{
+    SystemConfig cfg = baseConfig(ProtocolKind::tokenB, "torus", "oltp");
+    cfg.maxTicks = nsToTicks(100);
+    System sys(cfg);
+    try {
+        sys.run();
+        FAIL() << "a 100 ns budget finished a 1500-op run";
+    } catch (const DeadlockError &e) {
+        FAIL() << "a live queue reported a deadlock: " << e.what();
+    } catch (const std::runtime_error &e) {
+        EXPECT_FALSE(sys.eq().empty());
+        EXPECT_NE(std::string(e.what()).find("exceeded maxTicks"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 } // namespace
 } // namespace tokensim

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "workload/commercial.hh"
+#include "workload/factory.hh"
 #include "workload/tpcc.hh"
 #include "workload/workload.hh"
 #include "workload/ycsb.hh"
@@ -532,6 +533,20 @@ TEST(TpccPreset, DeterministicPerSeed)
         EXPECT_EQ(x.op, y.op);
         EXPECT_EQ(x.endsTransaction, y.endsTransaction);
     }
+}
+
+TEST(WorkloadPresets, EveryListedPresetBuilds)
+{
+    // kWorkloadPresets is what sweep_tool --help prints; each name
+    // must be one the factory accepts.
+    for (const char *name : kWorkloadPresets) {
+        SCOPED_TRACE(name);
+        const WorkloadFactory factory(WorkloadSpec(name), 8,
+                                      AddressMap{});
+        EXPECT_NE(factory.make(0, 1), nullptr);
+    }
+    EXPECT_THROW(WorkloadFactory(WorkloadSpec("nosuch"), 8, AddressMap{}),
+                 std::invalid_argument);
 }
 
 } // namespace
