@@ -521,8 +521,8 @@ BENCHMARK(BM_TraceRecord);
 /**
  * The full experiment config matrix — protocol x topology x processor
  * count x token count — that the runner benchmarks below shard. Small
- * per-shard op counts keep one pass in benchmark territory; scale via
- * TOKENSIM_BENCH_OPS-style env in the paper-figure benches instead.
+ * per-shard op counts keep one pass in benchmark territory; the paper
+ * figures run at full size through `sweep_tool figures --ops N`.
  */
 std::vector<ExperimentSpec>
 runnerMatrix()

@@ -6,6 +6,7 @@
  *   $ ./sweep_tool trace record OUT [run options]
  *   $ ./sweep_tool trace dump PATH [node [limit]]
  *   $ ./sweep_tool trace stats PATH
+ *   $ ./sweep_tool figures [NAME...] [--ops N] [--seeds N] [--threads N]
  *   $ ./sweep_tool --help          (every option, with its default)
  *
  * `run` sweeps a protocol x workload matrix through the
@@ -25,9 +26,14 @@
  * equals the recording's, bit for bit (tests/cli.cmake checks it).
  * `trace dump` lists one node's ops.
  *
+ * `figures` runs the distinct design points of the paper figures it
+ * is asked for (harness/figures.hh) as one sweep and prints them. A
+ * figure with a failed point is left out, and the command exits 1.
+ *
  * Malformed input exits 1 with one `sweep_tool: ...` line on stderr.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -38,6 +44,7 @@
 
 #include "harness/argparse.hh"
 #include "harness/experiment.hh"
+#include "harness/figures.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/snapshot.hh"
 #include "harness/system.hh"
@@ -104,6 +111,15 @@ splitCommas(const std::string &s)
     return out;
 }
 
+std::string
+figureList()
+{
+    std::string out;
+    for (const Figure &f : paperFigures(FigureSize{}))
+        out += (out.empty() ? "" : ",") + f.name;
+    return out;
+}
+
 struct Options
 {
     std::vector<std::string> protocols{"tokenb", "snooping"};
@@ -146,6 +162,7 @@ printHelp(std::FILE *out, const char *argv0)
         "       %s trace dump PATH [node [limit]]\n"
         "       %s trace stats PATH   (prints the run flags that "
         "replay PATH)\n"
+        "       %s figures [NAME...] [--ops N] [--seeds N] [--threads N]\n"
         "\n"
         "run options:\n"
         "  --protocols a,b,c   comma list (default tokenb,snooping) of\n"
@@ -203,13 +220,23 @@ printHelp(std::FILE *out, const char *argv0)
         "  --progress          stream per-shard progress to stderr\n"
         "  --stats             summary table after the run (stderr)\n"
         "  --metrics           dump merged metric registries "
-        "(stderr)\n",
-        argv0, argv0, argv0, argv0, protocolList().c_str(),
+        "(stderr)\n"
+        "\n"
+        "figures options (NAME in %s; default all):\n"
+        "  --ops N             measured ops/processor (default %llu; "
+        "the paper figures\n"
+        "                      warm up N more, q5 and reissue measure "
+        "N/2)\n"
+        "  --seeds N           seeds per design point (default %d)\n"
+        "  --threads N         as for run\n",
+        argv0, argv0, argv0, argv0, argv0, protocolList().c_str(),
         presetList().c_str(), d.nodes,
         static_cast<unsigned long long>(d.ops),
         static_cast<unsigned long long>(d.warmup), d.seeds,
         static_cast<unsigned long long>(d.seed), d.retries,
-        d.shardTimeoutMs);
+        d.shardTimeoutMs, figureList().c_str(),
+        static_cast<unsigned long long>(FigureSize{}.ops),
+        FigureSize{}.seeds);
 }
 
 /** --sample FF:WIN:N -> SamplingSpec{FF, WIN, N}. */
@@ -733,6 +760,90 @@ traceCommand(const char *argv0, int argc, char **argv)
     return traceStats(path);
 }
 
+/**
+ * figures [NAME...] [--ops N] [--seeds N] [--threads N]: run the
+ * distinct design points of the named figures (all without names) in
+ * one sweep, then print those figures in table order.
+ */
+int
+figuresCommand(const char *argv0, int argc, char **argv)
+{
+    FigureSize size;
+    int threads = 0;
+    std::vector<std::string> names;
+    for (int i = 2; i < argc; ++i) {
+        const std::string a = argv[i];
+        const auto value = [&]() -> std::string {
+            if (i + 1 >= argc)
+                throw ArgError(a + " needs a value");
+            return argv[++i];
+        };
+        if (a == "--ops")
+            size.ops = parseU64(a, value(), 1);
+        else if (a == "--seeds")
+            size.seeds = parseInt(a, value(), 1);
+        else if (a == "--threads")
+            threads = parseInt(a, value(), 0);
+        else if (a == "--help") {
+            printHelp(stdout, argv0);
+            return 0;
+        } else if (a.rfind("--", 0) == 0) {
+            throw ArgError("figures takes --ops, --seeds, --threads "
+                           "and --help, not " + a);
+        } else
+            names.push_back(a);
+    }
+
+    for (const std::string &n : names) {
+        if (("," + figureList() + ",").find("," + n + ",") ==
+            std::string::npos) {
+            throw std::invalid_argument("unknown figure \"" + n +
+                                        "\" (figures: " + figureList() +
+                                        ")");
+        }
+    }
+    std::vector<Figure> figs;
+    for (Figure &f : paperFigures(size)) {
+        if (names.empty() ||
+            std::find(names.begin(), names.end(), f.name) != names.end())
+            figs.push_back(std::move(f));
+    }
+
+    const FigurePlan plan = planFigures(figs);
+    const ParallelRunner runner(ParallelRunnerOptions{threads});
+    std::size_t points = 0;
+    for (const Figure &f : figs)
+        points += f.points.size();
+    std::fprintf(stderr,
+                 "figures: %zu design points (%zu distinct) x %d seeds "
+                 "across %d threads\n",
+                 points, plan.specs.size(), size.seeds, runner.threads());
+    // A point that fails (a deadlocked run, say) costs only the
+    // figures that read it; the command still fails, after the rest.
+    std::vector<std::string> failures;
+    const std::vector<ExperimentResult> results =
+        runner.run(plan.specs, &failures);
+    std::string first_failure;
+    for (std::size_t f = 0; f < figs.size(); ++f) {
+        const std::vector<std::size_t> &slots = plan.slots[f];
+        const auto bad = std::find_if(
+            slots.begin(), slots.end(),
+            [&](std::size_t s) { return !failures[s].empty(); });
+        if (bad == slots.end()) {
+            std::fputs(renderFigure(figs[f], results, slots).c_str(),
+                       stdout);
+            continue;
+        }
+        std::printf("\n%s: not printed, a design point failed\n",
+                    figs[f].name.c_str());
+        if (first_failure.empty())
+            first_failure = "figure " + figs[f].name + ": " + failures[*bad];
+    }
+    if (!first_failure.empty())
+        throw std::runtime_error(first_failure);
+    return 0;
+}
+
 } // namespace
 
 int
@@ -752,9 +863,11 @@ main(int argc, char **argv)
             return runCommand(argv[0], argc, argv, 2, "");
         if (mode == "trace")
             return traceCommand(argv[0], argc, argv);
+        if (mode == "figures")
+            return figuresCommand(argv[0], argc, argv);
         throw std::invalid_argument("unknown command \"" + mode +
-                                    "\" (commands: run, trace; see "
-                                    "--help)");
+                                    "\" (commands: run, trace, "
+                                    "figures; see --help)");
     } catch (const std::exception &e) {
         std::fprintf(stderr, "sweep_tool: %s\n", e.what());
         return 1;

@@ -10,8 +10,9 @@
  * be consumed, the value must fit the target type and the caller's
  * range, and a violation throws ArgError naming the option, the
  * offending text, and the accepted range — turned into a clean
- * usage-error exit by the tool's top-level handler. The TOKENSIM_*
- * environment knobs parse through the same rules (envInt/envU64).
+ * usage-error exit by the tool's top-level handler. The
+ * TOKENSIM_THREADS environment knob parses through the same rules
+ * (envInt).
  */
 
 #ifndef TOKENSIM_HARNESS_ARGPARSE_HH
@@ -118,15 +119,6 @@ envInt(const char *name, int fallback,
 {
     const char *s = std::getenv(name);
     return s && *s ? parseInt(name, s, min, max) : fallback;
-}
-
-/** envInt for unsigned 64-bit knobs (parsed like parseU64). */
-inline std::uint64_t
-envU64(const char *name, std::uint64_t fallback, std::uint64_t min = 0,
-       std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
-{
-    const char *s = std::getenv(name);
-    return s && *s ? parseU64(name, s, min, max) : fallback;
 }
 
 } // namespace tokensim

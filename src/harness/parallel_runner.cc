@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -187,13 +188,11 @@ class Sweep
         std::lock_guard<std::mutex> g(lock_);
         const Shard &s = shards[sh];
         specErrored_[s.spec] = 1;
-        if (sh < firstFailed_) {
-            firstFailed_ = sh;
-            firstError_ = strformat(
-                "ParallelRunner: shard (spec \"%s\", seed %d) failed: "
-                "%s",
-                specs[s.spec].label.c_str(), s.seed, what.c_str());
-        }
+        errors_.emplace(
+            sh, strformat("ParallelRunner: shard (spec \"%s\", seed %d) "
+                          "failed: %s",
+                          specs[s.spec].label.c_str(), s.seed,
+                          what.c_str()));
         resolve(sh, "errored");
     }
 
@@ -211,14 +210,24 @@ class Sweep
     void
     throwIfFailed() const
     {
-        if (firstFailed_ != ~std::size_t{0})
-            throw std::runtime_error(firstError_);
+        if (!errors_.empty())
+            throw std::runtime_error(errors_.begin()->second);
     }
 
+    /** The results; see ParallelRunner::run for @p failures. */
     std::vector<ExperimentResult>
-    finish()
+    finish(std::vector<std::string> *failures)
     {
-        throwIfFailed();
+        if (!failures) {
+            throwIfFailed();
+            return std::move(out_);
+        }
+        failures->assign(specs.size(), std::string());
+        for (const auto &[sh, what] : errors_) {
+            std::string &first = (*failures)[shards[sh].spec];
+            if (first.empty())
+                first = what;
+        }
         return std::move(out_);
     }
 
@@ -281,8 +290,8 @@ class Sweep
     std::vector<std::size_t> remainingSeeds_;
     std::vector<char> specErrored_;
     std::size_t resolved_ = 0;
-    std::size_t firstFailed_ = ~std::size_t{0};
-    std::string firstError_;
+    /** Every failed shard's error, by shard (so lowest first). */
+    std::map<std::size_t, std::string> errors_;
     int ckptFd_ = -1;
 };
 
@@ -917,7 +926,8 @@ ParallelRunner::ParallelRunner(ParallelRunnerOptions opts)
 }
 
 std::vector<ExperimentResult>
-ParallelRunner::run(const std::vector<ExperimentSpec> &specs) const
+ParallelRunner::run(const std::vector<ExperimentSpec> &specs,
+                    std::vector<std::string> *failures) const
 {
     for (const ExperimentSpec &s : specs) {
         if (opts_.processes && !s.cfg.recordTrace.empty()) {
@@ -944,7 +954,7 @@ ParallelRunner::run(const std::vector<ExperimentSpec> &specs) const
         else
             runThreads(sweep, todo, width);
     }
-    return sweep.finish();
+    return sweep.finish(failures);
 }
 
 ExperimentResult

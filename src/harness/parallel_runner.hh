@@ -188,13 +188,18 @@ class ParallelRunner
      *         names a file recorded for a different sweep, one too
      *         corrupt to use, or one that cannot be read (a torn tail
      *         is NOT that — it is dropped and re-run).
+     * With @p failures, a shard that throws does not fail the run:
+     * (*failures)[i] is then the error of spec i's lowest failed
+     * seed, or empty, and a failed spec's result is default-built.
+     *
      * @throws std::runtime_error naming the lowest (spec, seed) shard
-     *         that threw, once every shard has run; or, on the
-     *         process executor, when a shard exhausts its retry
-     *         budget.
+     *         that threw, once every shard has run (unless
+     *         @p failures); or, on the process executor, when a shard
+     *         exhausts its retry budget.
      */
     std::vector<ExperimentResult>
-    run(const std::vector<ExperimentSpec> &specs) const;
+    run(const std::vector<ExperimentSpec> &specs,
+        std::vector<std::string> *failures = nullptr) const;
 
     /** Convenience: run one spec (its seeds still shard). */
     ExperimentResult run(const ExperimentSpec &spec) const;

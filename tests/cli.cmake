@@ -6,9 +6,10 @@
 #    `run --workloads trace:PATH` and the flags `trace stats` prints:
 #    the two digest fields must be equal.
 # 2. `trace dump` and `trace stats` read that trace.
-# 3. `--help` lists every protocol.
+# 3. `--help` lists every protocol and every figure.
 # 4. Malformed input exits 1 with one `sweep_tool:` line and never
 #    aborts.
+# 5. `figures` prints Table 1 and a small Question 5.
 
 if(NOT TOOL OR NOT WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DTOOL=... -DWORK_DIR=... -P cli.cmake")
@@ -74,11 +75,16 @@ if(NOT STATS_OUT MATCHES "geometry: +8 nodes"
   message(FATAL_ERROR "trace stats output:\n${STATS_OUT}")
 endif()
 
-# 3. --help lists all 8 protocols.
+# 3. --help lists all 8 protocols and all 8 figures.
 tool_ok(HELP --help)
 foreach(p snooping directory hammer tokenb tokend tokenm tokena tokennull)
   if(NOT HELP_OUT MATCHES "[ ,]${p}[,\n]")
     message(FATAL_ERROR "--help does not list protocol ${p}:\n${HELP_OUT}")
+  endif()
+endforeach()
+foreach(f table1 fig4 fig5 table2 q5 tokens reissue migratory)
+  if(NOT HELP_OUT MATCHES "[ ,]${f}[,;\n]")
+    message(FATAL_ERROR "--help does not list figure ${f}:\n${HELP_OUT}")
   endif()
 endforeach()
 
@@ -102,6 +108,21 @@ tool_rejects(trace stats "${WORK_DIR}/missing.trace")
 tool_rejects(trace record "${WORK_DIR}/two.trace" --protocols tokenb,directory
              --seeds 1)
 tool_rejects(frobnicate)
+tool_rejects(figures nosuch)
+tool_rejects(figures q5 --ops 12x)
+tool_rejects(figures q5 --nodes 8)
+
+# 5. Figures: Table 1 needs no runs; Question 5 at 20 ops/processor.
+tool_ok(T1 figures table1)
+if(NOT T1_OUT MATCHES "Table 1: Target System Parameters"
+   OR NOT T1_OUT MATCHES "Token storage encoding")
+  message(FATAL_ERROR "figures table1 output:\n${T1_OUT}")
+endif()
+tool_ok(Q5 figures q5 --ops 40 --seeds 1)
+if(NOT Q5_OUT MATCHES "64 processors:\n  TokenB +[0-9.]+ +[0-9.]+x\n"
+   OR NOT Q5_ERR MATCHES "figures: 15 design points \\(15 distinct\\)")
+  message(FATAL_ERROR "figures q5 output:\n${Q5_OUT}${Q5_ERR}")
+endif()
 
 message(STATUS "cli: record/replay digests equal (${RECORDED}); "
-               "dump, stats, help and bad-input checks pass")
+               "dump, stats, help, figures and bad-input checks pass")

@@ -4,7 +4,7 @@
  * form the sweep tool used to accept silently — trailing garbage,
  * wrapped negatives, empty strings, overflow — must throw ArgError
  * with a message naming the offending option. The TOKENSIM_*
- * environment knobs (envInt/envU64) follow the same rules.
+ * environment knobs (envInt) follow the same rules.
  */
 
 #include <gtest/gtest.h>
@@ -149,18 +149,15 @@ TEST(ArgParse, EnvKnobUnsetOrEmptyYieldsTheFallback)
     {
         ScopedEnv env("TOKENSIM_TEST_KNOB", nullptr);
         EXPECT_EQ(envInt("TOKENSIM_TEST_KNOB", 7, 1), 7);
-        EXPECT_EQ(envU64("TOKENSIM_TEST_KNOB", 6000, 1), 6000u);
     }
     ScopedEnv env("TOKENSIM_TEST_KNOB", "");
     EXPECT_EQ(envInt("TOKENSIM_TEST_KNOB", 7, 1), 7);
-    EXPECT_EQ(envU64("TOKENSIM_TEST_KNOB", 6000, 1), 6000u);
 }
 
 TEST(ArgParse, EnvKnobParsesStrictly)
 {
     ScopedEnv env("TOKENSIM_TEST_KNOB", "12");
     EXPECT_EQ(envInt("TOKENSIM_TEST_KNOB", 7, 1), 12);
-    EXPECT_EQ(envU64("TOKENSIM_TEST_KNOB", 6000, 1), 12u);
 }
 
 TEST(ArgParse, EnvKnobGarbageNamesTheVariable)
@@ -169,8 +166,6 @@ TEST(ArgParse, EnvKnobGarbageNamesTheVariable)
     // errors naming the variable and echoing its text.
     {
         ScopedEnv env("TOKENSIM_TEST_KNOB", "abc");
-        expectArgError([] { envU64("TOKENSIM_TEST_KNOB", 6000, 1); },
-                       "TOKENSIM_TEST_KNOB", "abc");
         expectArgError([] { envInt("TOKENSIM_TEST_KNOB", 2, 1); },
                        "TOKENSIM_TEST_KNOB", "abc");
     }
@@ -184,8 +179,6 @@ TEST(ArgParse, EnvKnobEnforcesRange)
     ScopedEnv env("TOKENSIM_TEST_KNOB", "-1");
     expectArgError([] { envInt("TOKENSIM_TEST_KNOB", 0, 0); },
                    "TOKENSIM_TEST_KNOB", "[0, 2147483647]");
-    expectArgError([] { envU64("TOKENSIM_TEST_KNOB", 1, 1); },
-                   "TOKENSIM_TEST_KNOB", "-1");
 }
 
 } // namespace

@@ -374,5 +374,29 @@ TEST(ParallelRunner, ShardExceptionPropagates)
                  std::exception);
 }
 
+TEST(ParallelRunner, CollectedFailuresLeaveTheOtherSpecsIntact)
+{
+    // With a failures vector, a throwing spec is reported per spec and
+    // every other spec still aggregates exactly as the serial loop.
+    std::vector<ExperimentSpec> specs = smallMatrix();
+    specs.resize(3);
+    specs[1].cfg.topology = "moebius";
+    specs[1].label = "bad";
+    std::vector<std::string> failures;
+    const std::vector<ExperimentResult> results =
+        ParallelRunner(ParallelRunnerOptions{2}).run(specs, &failures);
+    ASSERT_EQ(results.size(), 3u);
+    ASSERT_EQ(failures.size(), 3u);
+    EXPECT_TRUE(failures[0].empty());
+    EXPECT_NE(failures[1].find("spec \"bad\", seed 0"), std::string::npos)
+        << failures[1];
+    EXPECT_TRUE(failures[2].empty());
+    for (std::size_t i : {0u, 2u}) {
+        expectIdentical(results[i], runExperiment(specs[i].cfg,
+                                                  specs[i].seeds,
+                                                  specs[i].label));
+    }
+}
+
 } // namespace
 } // namespace tokensim
