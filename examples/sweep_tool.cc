@@ -223,10 +223,10 @@ printHelp(std::FILE *out, const char *argv0)
         "(stderr)\n"
         "\n"
         "figures options (NAME in %s; default all):\n"
-        "  --ops N             measured ops/processor (default %llu; "
-        "the paper figures\n"
-        "                      warm up N more, q5 and reissue measure "
-        "N/2)\n"
+        "  --ops N             measured ops/processor (default %llu, "
+        "at least %llu; the\n"
+        "                      paper figures warm up N more, q5 and "
+        "reissue measure N/2)\n"
         "  --seeds N           seeds per design point (default %d)\n"
         "  --threads N         as for run\n",
         argv0, argv0, argv0, argv0, argv0, protocolList().c_str(),
@@ -236,6 +236,7 @@ printHelp(std::FILE *out, const char *argv0)
         static_cast<unsigned long long>(d.seed), d.retries,
         d.shardTimeoutMs, figureList().c_str(),
         static_cast<unsigned long long>(FigureSize{}.ops),
+        static_cast<unsigned long long>(FigureSize::minOps),
         FigureSize{}.seeds);
 }
 
@@ -779,7 +780,7 @@ figuresCommand(const char *argv0, int argc, char **argv)
             return argv[++i];
         };
         if (a == "--ops")
-            size.ops = parseU64(a, value(), 1);
+            size.ops = parseU64(a, value(), FigureSize::minOps);
         else if (a == "--seeds")
             size.seeds = parseInt(a, value(), 1);
         else if (a == "--threads")

@@ -20,43 +20,49 @@
 #include <vector>
 
 #include "core/tokenb.hh"
+#include "proto/home_state.hh"
 
 namespace tokensim {
 
 /**
- * Direct-mapped destination-set predictor: per block-group, a bitmask
- * of nodes recently seen holding (or about to hold) tokens.
+ * Direct-mapped destination-set predictor: per block-group, the set of
+ * nodes recently seen holding (or about to hold) tokens.
+ *
+ * An entry is a tag and a NodeMask drawn from a NodeMaskPool
+ * (proto/home_state.hh), as the Directory's sharer sets are. A mask
+ * takes a ceil(nodes / 64)-word slot on an entry's first training and
+ * gives it back on conflict eviction and trainExclusive(), so the
+ * predictor holds one mask per entry with a live tag, not one per
+ * entry: a sampled 256-node run trains under 500 of a cache's 8192
+ * entries, and a mask is 128 B at 1024 nodes.
  */
 class DestSetPredictor
 {
   public:
     DestSetPredictor(std::uint32_t entries, std::uint32_t block_bytes,
                      int num_nodes)
-        : entries_(entries), blockBytes_(block_bytes),
-          maskWords_((static_cast<std::size_t>(num_nodes) + 63) / 64),
-          tags_(entries, ~Addr{0}),
-          masks_(static_cast<std::size_t>(entries) * maskWords_, 0)
+        : blockBytes_(block_bytes), entries_(entries), pool_(num_nodes)
     {}
 
     /** Record that @p node holds (or will hold) tokens for @p addr. */
     void
     train(Addr addr, NodeId node)
     {
-        const std::size_t idx = indexOf(addr);
+        Entry &e = entries_[indexOf(addr)];
         const Addr tag = addr / blockBytes_;
-        if (tags_[idx] != tag) {
-            tags_[idx] = tag;
-            clearMask(idx);
+        if (e.tag != tag) {
+            e.tag = tag;
+            pool_.clear(e.mask);
         }
-        setBit(idx, node);
+        pool_.insert(e.mask, node);
     }
 
     /** Forget all training (reusable-System path). */
     void
     clear()
     {
-        std::fill(tags_.begin(), tags_.end(), ~Addr{0});
-        std::fill(masks_.begin(), masks_.end(), 0);
+        std::fill(entries_.begin(), entries_.end(), Entry{});
+        pool_.clear();
     }
 
     /**
@@ -69,10 +75,10 @@ class DestSetPredictor
     void
     trainExclusive(Addr addr, NodeId node)
     {
-        const std::size_t idx = indexOf(addr);
-        tags_[idx] = addr / blockBytes_;
-        clearMask(idx);
-        setBit(idx, node);
+        Entry &e = entries_[indexOf(addr)];
+        e.tag = addr / blockBytes_;
+        pool_.clear(e.mask);
+        pool_.insert(e.mask, node);
     }
 
     /** Predicted holder set for @p addr (may be empty), ascending. */
@@ -80,54 +86,31 @@ class DestSetPredictor
     predict(Addr addr) const
     {
         std::vector<NodeId> out;
-        const std::size_t idx = indexOf(addr);
-        if (tags_[idx] != addr / blockBytes_)
-            return out;
-        const std::uint64_t *mask = &masks_[idx * maskWords_];
-        for (std::size_t w = 0; w < maskWords_; ++w) {
-            std::uint64_t bits = mask[w];
-            while (bits) {
-                const int b = __builtin_ctzll(bits);
-                out.push_back(static_cast<NodeId>(w * 64 +
-                                                  std::size_t(b)));
-                bits &= bits - 1;
-            }
-        }
+        const Entry &e = entries_[indexOf(addr)];
+        if (e.tag == addr / blockBytes_)
+            pool_.forEach(e.mask, [&](NodeId n) { out.push_back(n); });
         return out;
     }
 
+    /** Mask slots ever in use at once since the last clear(). */
+    std::size_t maskPoolHighWater() const { return pool_.highWater(); }
+
   private:
+    struct Entry
+    {
+        Addr tag = ~Addr{0};
+        NodeMask mask;   ///< in pool_; empty iff the tag is not live
+    };
+
     std::size_t
     indexOf(Addr addr) const
     {
-        return (addr / blockBytes_) % entries_;
+        return (addr / blockBytes_) % entries_.size();
     }
 
-    void
-    clearMask(std::size_t idx)
-    {
-        std::fill_n(masks_.begin() +
-                        static_cast<std::ptrdiff_t>(idx * maskWords_),
-                    maskWords_, 0);
-    }
-
-    void
-    setBit(std::size_t idx, NodeId node)
-    {
-        const auto n = static_cast<std::size_t>(node);
-        if (n < maskWords_ * 64)
-            masks_[idx * maskWords_ + n / 64] |=
-                std::uint64_t{1} << (n % 64);
-    }
-
-    std::uint32_t entries_;
     std::uint32_t blockBytes_;
-    /** 64-bit mask words per entry: ceil(numNodes / 64) — the fix for
-     *  the former single-word mask that silently dropped every node
-     *  >= 64 from trained destination sets. */
-    std::size_t maskWords_;
-    std::vector<Addr> tags_;
-    std::vector<std::uint64_t> masks_;  ///< entries_ x maskWords_
+    std::vector<Entry> entries_;
+    NodeMaskPool pool_;
 };
 
 /** TokenM cache controller: multicast to a predicted destination set. */

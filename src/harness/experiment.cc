@@ -101,8 +101,12 @@ runOnceReusing(std::unique_ptr<System> &sys, SystemConfig cfg,
 {
     cfg.seed = seed;
     try {
-        if (!sys || !sys->reset(cfg, trust_factory))
+        if (!sys || !sys->reset(cfg, trust_factory)) {
+            // Drop the old System before building the new one, so a
+            // shape change never holds two at once.
+            sys.reset();
             sys = std::make_unique<System>(cfg);
+        }
         sys->run();
         return sys->results();
     } catch (...) {

@@ -100,10 +100,12 @@ System::Results runOnce(SystemConfig cfg, std::uint64_t seed);
 /**
  * Like runOnce(), but reuse @p sys when possible: if it exists and
  * System::reset() accepts the config shape, the run reinitializes it
- * in place (no per-shard allocation churn); otherwise a fresh System
- * is constructed into @p sys. Either way @p sys holds the ran System
- * afterwards — except on error, where it is dropped (a half-run
- * System must not be reused) and the exception propagates.
+ * in place (no per-shard allocation churn); otherwise the old System
+ * is destroyed first and a fresh one is constructed into @p sys, so
+ * at most one System per @p sys is ever alive. Either way @p sys
+ * holds the ran System afterwards — except on error, where it is
+ * dropped (a half-run System must not be reused) and the exception
+ * propagates.
  * @p trust_factory is forwarded to System::reset() — pass true only
  * when @p cfg is the very config object @p sys last ran.
  */

@@ -31,6 +31,10 @@ struct FigureSize
      */
     std::uint64_t ops = 6000;
 
+    /** The smallest ops that gives every point at least one measured
+     *  op: the reissue ablation's TokenNull runs ops/2/20. */
+    static constexpr std::uint64_t minOps = 40;
+
     /** Seeds per design point. */
     int seeds = 2;
 };

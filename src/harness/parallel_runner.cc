@@ -48,8 +48,10 @@ struct Shard
  * matches (always true for seeds of the same spec, and common across
  * the specs of one sweep), so the dominant per-shard cost — building
  * caches, queues, and network state — is paid once per worker, not
- * once per shard. Results stay bit-identical to fresh construction;
- * the determinism tests enforce it.
+ * once per shard. On a shape change runOnceReusing() drops the old
+ * System before building the new one, so a worker holds at most one
+ * System and a sweep of width N at most N. Results stay bit-identical
+ * to fresh construction; the determinism tests enforce it.
  */
 struct WorkerArena
 {
@@ -427,17 +429,17 @@ runThreads(Sweep &sweep, const std::vector<std::size_t> &todo,
         }
     };
 
+    // The calling thread is worker 0, so width N starts N - 1 threads.
+    // Worker 0's Systems then live in the caller's malloc arena, whose
+    // freed pages the caller's later Systems reuse; a thread's arena
+    // keeps a dead System's pages resident after the thread ends.
     width = std::min(width, todo.size());
-    if (width <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(width);
-        for (std::size_t t = 0; t < width; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+    std::vector<std::thread> pool;
+    for (std::size_t t = 1; t < width; ++t)
+        pool.emplace_back(worker);
+    worker();
+    for (std::thread &t : pool)
+        t.join();
 }
 
 // ---------------------------------------------------------------------

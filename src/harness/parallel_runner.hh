@@ -28,7 +28,7 @@
  *
  * Executors:
  *  - threads (the default): workers pull shards off a shared cursor;
- *    width 1 runs on the calling thread.
+ *    the calling thread is worker 0, so width N starts N - 1 threads.
  *  - forked worker processes (ParallelRunnerOptions::processes): each
  *    child inherits the spec list and serves shard indices from a
  *    pipe pair, replying with raw System::Results frames
@@ -45,7 +45,9 @@
  * re-initialize it in place (System::reset) instead of rebuilding
  * caches, queues, and network state per shard — reset is
  * bit-identical to fresh construction (tests/test_parallel_runner.cc
- * enforces both properties).
+ * enforces both properties). On a shape change the old System is
+ * destroyed before the new one is built, so a sweep of width N holds
+ * at most N Systems at any moment.
  *
  * Crash safety: with a checkpointPath, every completed shard is
  * appended to an on-disk checkpoint (CRC-framed records behind an
@@ -117,8 +119,8 @@ struct ParallelRunnerOptions
      * `processes` is set. 0 picks the TOKENSIM_THREADS environment
      * variable if set to >= 1, else
      * std::thread::hardware_concurrency(); a malformed value throws
-     * ArgError. Threads at width 1 run everything on the calling
-     * thread.
+     * ArgError. The calling thread is worker 0: threads at width N
+     * start N - 1 threads, and width 1 runs everything on the caller.
      */
     int threads = 0;
 

@@ -138,6 +138,10 @@ class NodeMaskPool
         free_ = noSlot;
     }
 
+    /** Slots ever handed out since the last clear(): the most masks
+     *  non-empty at once. */
+    std::size_t highWater() const { return words_.size() / width_; }
+
   private:
     std::uint64_t *words(NodeMask m) { return &words_[m.slot * width_]; }
 

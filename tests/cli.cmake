@@ -111,6 +111,8 @@ tool_rejects(frobnicate)
 tool_rejects(figures nosuch)
 tool_rejects(figures q5 --ops 12x)
 tool_rejects(figures q5 --nodes 8)
+# Below 40 ops the reissue figure's TokenNull point measures nothing.
+tool_rejects(figures reissue --ops 39)
 
 # 5. Figures: Table 1 needs no runs; Question 5 at 20 ops/processor.
 tool_ok(T1 figures table1)

@@ -114,6 +114,60 @@ TEST(TokenM, PredictorEvictsOnConflict)
     EXPECT_EQ(set[0], 5u);
 }
 
+TEST(TokenM, PredictorMaskPoolFollowsLiveEntries)
+{
+    // Conflict churn on two of four entries: every training evicts the
+    // entry's old tag, and its mask slot goes back to the pool before
+    // the new tag takes one, so the pool never outgrows the entries
+    // with a live tag.
+    DestSetPredictor p(4, 64, 256);
+    for (Addr k = 0; k < 1000; ++k) {
+        const Addr addr = 64 * (4 * k + k % 2);   // entry k % 2
+        const auto node = static_cast<NodeId>(k % 256);
+        if (k % 3 == 0)
+            p.trainExclusive(addr, node);
+        else
+            p.train(addr, node);
+        const auto set = p.predict(addr);
+        ASSERT_EQ(set.size(), 1u);
+        EXPECT_EQ(set[0], node);
+        EXPECT_LE(p.maskPoolHighWater(), 2u);
+    }
+    EXPECT_EQ(p.maskPoolHighWater(), 2u);
+}
+
+TEST(TokenM, PredictorTrainExclusiveReusesTheEntrysSlot)
+{
+    DestSetPredictor p(8, 64, 128);
+    p.train(0x1000, 3);
+    p.train(0x1000, 100);
+    EXPECT_EQ(p.maskPoolHighWater(), 1u);
+    p.trainExclusive(0x1000, 7);
+    EXPECT_EQ(p.maskPoolHighWater(), 1u);
+    const auto set = p.predict(0x1000);
+    ASSERT_EQ(set.size(), 1u);
+    EXPECT_EQ(set[0], 7u);
+    p.trainExclusive(0x1040, 9);   // another entry takes a second slot
+    EXPECT_EQ(p.maskPoolHighWater(), 2u);
+}
+
+TEST(TokenM, PredictorClearForgetsEverything)
+{
+    DestSetPredictor p(8, 64, 128);
+    for (Addr a = 0; a < 8; ++a)
+        p.train(0x1000 + 64 * a, static_cast<NodeId>(a + 64));
+    EXPECT_EQ(p.maskPoolHighWater(), 8u);
+    p.clear();
+    EXPECT_EQ(p.maskPoolHighWater(), 0u);
+    for (Addr a = 0; a < 8; ++a)
+        EXPECT_TRUE(p.predict(0x1000 + 64 * a).empty());
+    p.train(0x1040, 5);
+    const auto set = p.predict(0x1040);
+    ASSERT_EQ(set.size(), 1u);
+    EXPECT_EQ(set[0], 5u);
+    EXPECT_EQ(p.maskPoolHighWater(), 1u);
+}
+
 TEST(TokenM, FirstRequestMulticastsToHomeOnly)
 {
     ProtoDriver d(smallConfig(ProtocolKind::tokenM));

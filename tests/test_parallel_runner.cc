@@ -10,9 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/parallel_runner.hh"
@@ -359,6 +363,108 @@ TEST(TraceRoundTrip, MixedPresetAndTraceSweepIsDeterministic)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(specs[i].label);
         expectIdentical(parallel[i], serial[i]);
+    }
+}
+
+/** Workloads alive across a sweep, and the threads that built them. */
+struct LiveWorkloads
+{
+    std::mutex lock;
+    int live = 0;
+    /** The most already alive when a factory call came in. */
+    int most = 0;
+    std::set<std::thread::id> threads;
+};
+
+/** A SplitMix64 op stream that counts itself in a LiveWorkloads. */
+class CountedWorkload : public Workload
+{
+  public:
+    CountedWorkload(std::shared_ptr<LiveWorkloads> live,
+                    std::uint64_t state)
+        : live_(std::move(live)), state_(state)
+    {}
+
+    ~CountedWorkload() override
+    {
+        std::lock_guard<std::mutex> g(live_->lock);
+        --live_->live;
+    }
+
+    WorkloadOp
+    next() override
+    {
+        state_ += 0x9e3779b97f4a7c15ull;
+        std::uint64_t z = state_;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        z ^= z >> 31;
+        WorkloadOp op;
+        op.op = (z & 3) == 0 ? MemOp::store : MemOp::load;
+        op.addr = 0x40000 + 64 * ((z >> 8) % 96);
+        return op;
+    }
+
+    std::string name() const override { return "counted"; }
+
+  private:
+    std::shared_ptr<LiveWorkloads> live_;
+    std::uint64_t state_;
+};
+
+TEST(ParallelRunner, LiveSystemsNeverExceedWidth)
+{
+    // A System's workloads die with it, so live workloads count live
+    // Systems. Each spec changes the protocol, so every worker
+    // rebuilds its System between specs and resets it between seeds;
+    // either way it must drop the old System first. A reset builds
+    // each node's new workload before dropping the old one, so a
+    // worker mid-reset holds one workload more than a System's worth.
+    constexpr int kNodes = 8;
+    auto counter = std::make_shared<LiveWorkloads>();
+    std::vector<ExperimentSpec> specs;
+    for (ProtocolKind p : {ProtocolKind::tokenB, ProtocolKind::directory,
+                           ProtocolKind::tokenM, ProtocolKind::hammer}) {
+        SystemConfig cfg;
+        cfg.numNodes = kNodes;
+        cfg.protocol = p;
+        cfg.opsPerProcessor = 300;
+        cfg.seed = 41;
+        cfg.workloadFactory = [counter](NodeId node, int,
+                                        std::uint64_t seed)
+            -> std::unique_ptr<Workload> {
+            std::lock_guard<std::mutex> g(counter->lock);
+            counter->most = std::max(counter->most, counter->live);
+            counter->threads.insert(std::this_thread::get_id());
+            ++counter->live;
+            return std::make_unique<CountedWorkload>(counter,
+                                                     seed * 1000 + node);
+        };
+        specs.push_back(ExperimentSpec{cfg, 3, protocolName(p)});
+    }
+
+    std::vector<ExperimentResult> serial;
+    for (const ExperimentSpec &s : specs)
+        serial.push_back(runExperiment(s.cfg, s.seeds, s.label));
+
+    for (const int width : {1, 2, 4}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        counter->most = 0;
+        counter->threads.clear();
+        const std::vector<ExperimentResult> results =
+            ParallelRunner(ParallelRunnerOptions{width}).run(specs);
+
+        EXPECT_EQ(counter->live, 0);
+        EXPECT_LE(counter->most, width * kNodes + (width - 1));
+        // The caller is worker 0 and at most width threads ran shards.
+        EXPECT_EQ(counter->threads.count(std::this_thread::get_id()), 1u);
+        EXPECT_LE(counter->threads.size(),
+                  static_cast<std::size_t>(width));
+        ASSERT_EQ(results.size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            SCOPED_TRACE(specs[i].label);
+            expectIdentical(results[i], serial[i]);
+        }
     }
 }
 
