@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/tokenb.hh"
 #include "harness/experiment.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/snapshot.hh"
@@ -48,10 +49,8 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-struct BenchLine : CacheLineBase
-{
-    std::uint64_t payload = 0;
-};
+/** The Table 1 L2's line: 16 B of token state beside the tag. */
+using BenchLine = TokenLine;
 
 void
 BM_CacheArrayTouch(benchmark::State &state)
@@ -246,6 +245,8 @@ BM_CacheArrayAllocate(benchmark::State &state)
         a = (a + 64) % span;
     }
     state.SetItemsProcessed(state.iterations());
+    state.counters["bytes_per_way"] =
+        static_cast<double>(CacheArray<BenchLine>::bytesPerWay);
     state.counters["evict_frac"] =
         state.iterations()
             ? static_cast<double>(evictions) /

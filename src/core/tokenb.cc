@@ -187,24 +187,24 @@ TokenBCache::handleTransient(const Message &msg)
         if (line->tokens == t_ && line->dirty && params_.migratoryOpt) {
             // Migratory optimization: a dirty exclusive owner hands
             // over read/write permission (data + all tokens).
-            sendTokensFromLine(*line, line->tokens, true, true, req,
+            sendTokensFromLine(ba, *line, line->tokens, true, true, req,
                                Unit::cache, MsgClass::data, resp_delay);
         } else if (line->tokens >= 2) {
             // Keep the owner token; share one plain token with data.
-            sendTokensFromLine(*line, 1, false, true, req, Unit::cache,
-                               MsgClass::data, resp_delay);
+            sendTokensFromLine(ba, *line, 1, false, true, req,
+                               Unit::cache, MsgClass::data, resp_delay);
         } else {
             // Only the owner token remains; it must travel with data.
-            sendTokensFromLine(*line, 1, true, true, req, Unit::cache,
-                               MsgClass::data, resp_delay);
+            sendTokensFromLine(ba, *line, 1, true, true, req,
+                               Unit::cache, MsgClass::data, resp_delay);
         }
     } else {
         // Exclusive request: give up everything. The owner includes
         // data; plain sharers send a dataless token message (like a
         // directory protocol's invalidation acknowledgment).
         const bool with_data = line->owner;
-        sendTokensFromLine(*line, line->tokens, line->owner, with_data,
-                           req, Unit::cache,
+        sendTokensFromLine(ba, *line, line->tokens, line->owner,
+                           with_data, req, Unit::cache,
                            with_data ? MsgClass::data : MsgClass::nonData,
                            resp_delay);
     }
@@ -462,7 +462,7 @@ TokenBCache::handlePersistActivate(const Message &msg)
         TokenLine *line = l2_.find(ba);
         if (line && line->tokens > 0) {
             const bool with_data = line->owner;
-            sendTokensFromLine(*line, line->tokens, line->owner,
+            sendTokensFromLine(ba, *line, line->tokens, line->owner,
                                with_data, starving, Unit::cache,
                                MsgClass::persistent,
                                ctx_.ctrlLatency + ctx_.l2.latency);
@@ -502,52 +502,52 @@ TokenBCache::allocLine(Addr addr)
     TokenLine *line = l2_.allocate(addr, &victim);
     holders_.add(addr, id_);
     if (victim.valid)
-        evictVictim(victim.line);
+        evictVictim(victim.addr, victim.line);
     return line;
 }
 
 void
-TokenBCache::evictVictim(const TokenLine &victim)
+TokenBCache::evictVictim(Addr ba, const TokenLine &victim)
 {
     ++stats_.evictions;
-    holders_.remove(victim.addr, id_);
-    notifyLineRemoved(victim.addr);
+    holders_.remove(ba, id_);
+    notifyLineRemoved(ba);
     assert(victim.tokens > 0 && "token-less line survived in cache");
 
     // Tokens (and data, when we are the owner) return to the home —
     // unless a persistent request is active, in which case they are
     // owed to the starving node.
-    NodeId dest = ctx_.home(victim.addr);
+    NodeId dest = ctx_.home(ba);
     Unit unit = Unit::memory;
     MsgClass cls = victim.owner ? MsgClass::data : MsgClass::nonData;
-    auto pit = persistentTable_.find(victim.addr);
+    auto pit = persistentTable_.find(ba);
     if (pit != persistentTable_.end() && pit->second != id_) {
         dest = pit->second;
         unit = Unit::cache;
         cls = MsgClass::persistent;
     }
-    Message msg = makeTokenMsg(victim.addr, id_, dest, unit,
+    Message msg = makeTokenMsg(ba, id_, dest, unit,
                                victim.tokens, victim.owner,
                                victim.owner, victim.data, cls);
     sendTokenMsg(msg, ctx_.ctrlLatency);
 }
 
 void
-TokenBCache::sendTokensFromLine(TokenLine &line, int count,
+TokenBCache::sendTokensFromLine(Addr ba, TokenLine &line, int count,
                                 bool send_owner, bool with_data,
                                 NodeId dest, Unit dst_unit, MsgClass cls,
                                 Tick delay)
 {
     assert(count >= 1 && count <= line.tokens);
     assert(!send_owner || line.owner);
-    Message msg = makeTokenMsg(line.addr, id_, dest, dst_unit, count,
+    Message msg = makeTokenMsg(ba, id_, dest, dst_unit, count,
                                send_owner, with_data, line.data, cls);
     line.tokens -= count;
     if (send_owner)
         line.owner = false;
     sendTokenMsg(msg, delay);
     if (line.tokens == 0)
-        freeLine(line);
+        freeLine(ba);
 }
 
 void
@@ -562,12 +562,12 @@ TokenBCache::sendTokenMsg(Message msg, Tick delay)
 }
 
 void
-TokenBCache::freeLine(TokenLine &line)
+TokenBCache::freeLine(Addr ba)
 {
-    assert(line.tokens == 0);
-    holders_.remove(line.addr, id_);
-    notifyLineRemoved(line.addr);
-    l2_.invalidate(line.addr);
+    assert(l2_.find(ba)->tokens == 0);
+    holders_.remove(ba, id_);
+    notifyLineRemoved(ba);
+    l2_.invalidate(ba);
 }
 
 bool
@@ -824,21 +824,22 @@ TokenBCache::functionalAlloc(Addr ba, FunctionalEnv &env)
     TokenLine *line = l2_.allocate(ba, &victim);
     holders_.add(ba, id_);
     if (victim.valid) {
+        const Addr va = victim.addr;
         const TokenLine &v = victim.line;
         assert(v.tokens > 0 && "token-less line survived in cache");
-        holders_.remove(v.addr, id_);
-        notifyLineRemoved(v.addr);
+        holders_.remove(va, id_);
+        notifyLineRemoved(va);
         // The eviction token message, delivered: the home absorbs the
         // tokens (data travels iff we own — invariant #4'). The home's
         // holding must already be materialized: tokens can only have
         // reached this cache through it.
         auto *mem = static_cast<TokenBMemory *>(
-            env.memories[ctx_.home(v.addr)]);
-        TokenCount &tc = mem->tokensFor(v.addr);
+            env.memories[ctx_.home(va)]);
+        TokenCount &tc = mem->tokensFor(va);
         tc.absorb(v.tokens, v.owner, v.owner);
         assert(tc.sane(t_));
         if (v.owner)
-            mem->store_.write(v.addr, v.data);
+            mem->store_.write(va, v.data);
     }
     return line;
 }
@@ -923,7 +924,7 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
             if (gotOwner)
                 ownerLine->owner = false;
             if (ownerLine->tokens == 0)
-                ownerCache->freeLine(*ownerLine);
+                ownerCache->freeLine(ba);
         } else {
             TokenCount &tc = mem->tokensFor(ba);
             assert(tc.owner &&
@@ -966,7 +967,7 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
         const bool owner = l->owner;
         l->tokens = 0;
         l->owner = false;
-        tc->freeLine(*l);
+        tc->freeLine(ba);
         TokenLine *nl = line ? line : functionalAlloc(ba, env);
         line = nl;
         nl->tokens += n;
@@ -1045,10 +1046,10 @@ TokenBCache::decodeWarmState(WireReader &r)
             l.tokens = static_cast<int>(tokens);
             return l;
         },
-        [&](const TokenLine &l) {
-            holders_.add(l.addr, id_);
+        [&](Addr ba, const TokenLine &) {
+            holders_.add(ba, id_);
             if (auditor_)
-                auditor_->touch(l.addr);
+                auditor_->touch(ba);
         });
     checkStructEnd(r, "token cache warm state");
 }

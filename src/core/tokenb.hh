@@ -43,9 +43,9 @@
 
 namespace tokensim {
 
-/** An L2 line under Token Coherence: tokens live in the tag state.
- *  The flags come first so they fill CacheLineBase's tail padding. */
-struct TokenLine : CacheLineBase
+/** An L2 line under Token Coherence: tokens live in the tag state
+ *  (the block address is the CacheArray's tag). */
+struct TokenLine
 {
     bool owner = false;    ///< owner token held
     bool validData = false;///< data-valid bit (invariant #3')
@@ -53,8 +53,8 @@ struct TokenLine : CacheLineBase
     int tokens = 0;        ///< total tokens held (including owner)
     std::uint64_t data = 0;
 };
-static_assert(sizeof(TokenLine) == 24,
-              "TokenLine's flags no longer pack into the base's padding");
+static_assert(sizeof(TokenLine) == 16,
+              "TokenLine's flags no longer pack beside its token count");
 
 /**
  * Token-coherence L2 cache controller running the TokenB performance
@@ -157,18 +157,18 @@ class TokenBCache : public CacheController, public TokenHolder
     TokenLine *functionalAlloc(Addr ba, FunctionalEnv &env);
 
     /** Release tokens from a line into a message and send it. */
-    void sendTokensFromLine(TokenLine &line, int count, bool send_owner,
-                            bool with_data, NodeId dest, Unit dst_unit,
-                            MsgClass cls, Tick delay);
+    void sendTokensFromLine(Addr ba, TokenLine &line, int count,
+                            bool send_owner, bool with_data, NodeId dest,
+                            Unit dst_unit, MsgClass cls, Tick delay);
 
     /** Send an already-built token message (audits + schedules). */
     void sendTokenMsg(Message msg, Tick delay);
 
-    /** Drop a now-empty line and tell the sequencer. */
-    void freeLine(TokenLine &line);
+    /** Drop block @p ba's now-empty line and tell the sequencer. */
+    void freeLine(Addr ba);
 
-    /** Evict a victim line produced by allocation. */
-    void evictVictim(const TokenLine &victim);
+    /** Evict block @p ba's victim line produced by allocation. */
+    void evictVictim(Addr ba, const TokenLine &victim);
 
     /** Complete @p trans if the line now grants its operation. */
     void checkSatisfied(Addr addr);

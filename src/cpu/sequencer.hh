@@ -146,7 +146,7 @@ class Sequencer
     void adoptWarmProgress(std::uint64_t warm_ops);
 
     /** Serialize warm state (request-id counter, L1 contents with
-     *  exact LRU stamps). Requires a pristine fast-forward-only
+     *  exact LRU ranks). Requires a pristine fast-forward-only
      *  sequencer (nothing in flight). @throws WireError otherwise. */
     void encodeWarmState(WireWriter &w) const;
 
@@ -212,10 +212,12 @@ class Sequencer
     }
 
   private:
-    struct L1Line : CacheLineBase
+    /** The L1 keeps only the value (its tag is the address). */
+    struct L1Line
     {
         std::uint64_t data = 0;
     };
+    static_assert(sizeof(L1Line) == 8, "L1Line grew past 8 bytes");
 
     /** Bump counters for one completed operation. */
     void

@@ -69,8 +69,8 @@ constexpr char snapshotMagic[8] = {'T', 'O', 'K', 'S', 'N', 'A',
                                    'P', '1'};
 
 /** Bumped on any change to the snapshot layout or any controller's
- *  warm-state encoding. */
-constexpr std::uint8_t snapshotVersion = 1;
+ *  warm-state encoding (2: per-way LRU ranks replace use stamps). */
+constexpr std::uint8_t snapshotVersion = 2;
 
 /**
  * FNV-1a fingerprint of everything a snapshot binds to (see file

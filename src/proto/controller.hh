@@ -207,7 +207,7 @@ class CacheController : public ControllerBase
 
     /**
      * Serialize this controller's architectural warm state (cache
-     * lines with exact LRU stamps, predictor/coherence side tables)
+     * lines with exact LRU ranks, predictor/coherence side tables)
      * for the warm-state snapshot codec. Requires quiescence — no
      * outstanding transactions or buffered writebacks; implementations
      * throw WireError otherwise. The encoding must be canonical

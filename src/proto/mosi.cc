@@ -122,14 +122,14 @@ MosiCache::issueMiss(Addr ba, bool is_store)
 }
 
 void
-MosiCache::writeBack(const MosiLine &victim)
+MosiCache::writeBack(Addr ba, const MosiLine &victim)
 {
     Message msg;
     msg.type = MsgType::putM;
     msg.cls = MsgClass::data;
     msg.dstUnit = Unit::memory;
-    msg.addr = victim.addr;
-    msg.dest = ctx_.home(victim.addr);
+    msg.addr = ba;
+    msg.dest = ctx_.home(ba);
     msg.requester = id_;
     msg.hasData = true;
     msg.data = victim.data;
@@ -221,23 +221,24 @@ MosiLine *
 MosiCache::allocLine(Addr addr)
 {
     CacheArray<MosiLine>::Victim victim;
-    MosiLine *line = l2_.allocate(addr, &victim, [this](const MosiLine &l) {
-        return l.state == MosiState::O && outstanding_.count(l.addr);
-    });
+    MosiLine *line = l2_.allocate(
+        addr, &victim, [this](Addr ba, const MosiLine &l) {
+            return l.state == MosiState::O && outstanding_.count(ba);
+        });
     if (victim.valid)
-        evictVictim(victim.line);
+        evictVictim(victim.addr, victim.line);
     return line;
 }
 
 void
-MosiCache::evictVictim(const MosiLine &victim)
+MosiCache::evictVictim(Addr ba, const MosiLine &victim)
 {
     ++stats_.evictions;
-    notifyLineRemoved(victim.addr);
+    notifyLineRemoved(ba);
     if (victim.state == MosiState::S || victim.state == MosiState::I)
         return;   // clean copies drop silently; sharer lists stay safe
-    wbBuffer_[victim.addr] = WbEntry{victim.data, false};
-    writeBack(victim);
+    wbBuffer_[ba] = WbEntry{victim.data, false};
+    writeBack(ba, victim);
 }
 
 void
@@ -293,13 +294,14 @@ MosiCache::functionalFill(MosiLine *line, Addr ba, FunctionalEnv &env,
         CacheArray<MosiLine>::Victim victim;
         line = l2_.allocate(ba, &victim);
         if (victim.valid) {
+            const Addr va = victim.addr;
             const MosiLine &v = victim.line;
-            notifyLineRemoved(v.addr);
+            notifyLineRemoved(va);
             // An owned victim's writeback, settled at once; S copies
             // drop silently, exactly as in detailed mode.
             if (v.state == MosiState::M || v.state == MosiState::O) {
-                static_cast<MosiHome *>(env.memories[ctx_.home(v.addr)])
-                    ->settleWriteback(v.addr, id_, v.data);
+                static_cast<MosiHome *>(env.memories[ctx_.home(va)])
+                    ->settleWriteback(va, id_, v.data);
             }
         }
     }

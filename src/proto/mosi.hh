@@ -57,13 +57,15 @@ enum class MosiState : std::uint8_t
     M,
 };
 
-/** A baseline-protocol L2 line. */
-struct MosiLine : CacheLineBase
+/** A baseline-protocol L2 line (the block address is the
+ *  CacheArray's tag). */
+struct MosiLine
 {
     MosiState state = MosiState::I;
     bool written = false;   ///< stored to while in M (migratory hint)
     std::uint64_t data = 0;
 };
+static_assert(sizeof(MosiLine) == 16, "MosiLine grew past 16 bytes");
 
 /**
  * The home side every baseline protocol shares: the backing store, the
@@ -365,9 +367,10 @@ class MosiCache : public CacheController
      *  outstanding_. Default: GetS/GetM to the block's home. */
     virtual void issueMiss(Addr ba, bool is_store);
 
-    /** Hook: write back owned @p victim, already parked in wbBuffer_.
-     *  Default: PutM with the data to the block's home. */
-    virtual void writeBack(const MosiLine &victim);
+    /** Hook: write back owned @p victim of block @p ba, already
+     *  parked in wbBuffer_. Default: PutM with the data to the
+     *  block's home. */
+    virtual void writeBack(Addr ba, const MosiLine &victim);
 
     /**
      * The hit path: if @p line grants @p req, perform it and return
@@ -426,7 +429,7 @@ class MosiCache : public CacheController
 
   private:
     MosiLine *allocLine(Addr addr);
-    void evictVictim(const MosiLine &victim);
+    void evictVictim(Addr ba, const MosiLine &victim);
 };
 
 } // namespace tokensim

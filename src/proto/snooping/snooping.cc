@@ -50,7 +50,7 @@ SnoopCache::issueMiss(Addr ba, bool is_store)
 }
 
 void
-SnoopCache::writeBack(const MosiLine &victim)
+SnoopCache::writeBack(Addr ba, const MosiLine &)
 {
     // Owner eviction: announce the writeback in the total order, then
     // ship the data once the announcement has been ordered.
@@ -58,7 +58,7 @@ SnoopCache::writeBack(const MosiLine &victim)
     msg.type = MsgType::putM;
     msg.cls = MsgClass::request;
     msg.dstUnit = Unit::cache;
-    msg.addr = victim.addr;
+    msg.addr = ba;
     msg.requester = id_;
     broadcastOrderedAfter(ctx_.ctrlLatency, msg);
 }

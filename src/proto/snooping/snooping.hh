@@ -57,7 +57,7 @@ class SnoopCache : public MosiCache
 
   private:
     void issueMiss(Addr ba, bool is_store) override;
-    void writeBack(const MosiLine &victim) override;
+    void writeBack(Addr ba, const MosiLine &victim) override;
 
     /** Migratory prediction for a miss on @p ba: true if it fetches
      *  the block exclusively. A store miss trains the predictor. */

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "proto/controller.hh"
@@ -13,7 +20,7 @@
 namespace tokensim {
 namespace {
 
-struct TestLine : CacheLineBase
+struct TestLine
 {
     int payload = 0;
 };
@@ -67,7 +74,7 @@ TEST(CacheArray, EvictsLruWayWhenSetFull)
     c.touch(0x000);
     c.allocate(0x200, &v);
     ASSERT_TRUE(v.valid);
-    EXPECT_EQ(v.line.addr, 0x100u);
+    EXPECT_EQ(v.addr, 0x100u);
     EXPECT_EQ(v.line.payload, 2);
     EXPECT_TRUE(c.contains(0x000));
     EXPECT_FALSE(c.contains(0x100));
@@ -80,17 +87,19 @@ TEST(CacheArray, PinnedLruWayIsPassedOver)
     CacheArray<TestLine>::Victim v;
     c.allocate(0x000, &v)->payload = 1;   // set 0, LRU
     c.allocate(0x100, &v)->payload = 2;
-    const auto pinOne = [](const TestLine &l) { return l.payload == 1; };
+    const auto pinOne = [](Addr, const TestLine &l) {
+        return l.payload == 1;
+    };
     c.allocate(0x200, &v, pinOne);
     ASSERT_TRUE(v.valid);
-    EXPECT_EQ(v.line.addr, 0x100u);
+    EXPECT_EQ(v.addr, 0x100u);
     EXPECT_TRUE(c.contains(0x000));
 
     // With every way pinned the LRU way goes anyway.
     c.find(0x200)->payload = 1;
     c.allocate(0x300, &v, pinOne);
     ASSERT_TRUE(v.valid);
-    EXPECT_EQ(v.line.addr, 0x000u);
+    EXPECT_EQ(v.addr, 0x000u);
 }
 
 TEST(CacheArray, InvalidateFreesWay)
@@ -115,11 +124,14 @@ TEST(CacheArray, ForEachValidVisitsAllLines)
     c.allocate(0x080, &v);
     EXPECT_EQ(c.validCount(), 3u);
     int sum = 0;
-    c.forEachValid([&](TestLine &l) {
+    Addr addrs = 0;
+    c.forEachValid([&](Addr a, TestLine &l) {
         l.payload = 1;
+        addrs += a;
         ++sum;
     });
     EXPECT_EQ(sum, 3);
+    EXPECT_EQ(addrs, 0x000u + 0x040u + 0x080u);
 }
 
 TEST(CacheArray, Table1L2Geometry)
@@ -131,6 +143,173 @@ TEST(CacheArray, Table1L2Geometry)
     CacheArray<TestLine>::Victim v;
     c.allocate(0xdeadbeefc0ULL, &v);
     EXPECT_TRUE(c.contains(0xdeadbeefc0ULL));
+}
+
+/**
+ * Reference LRU model: what CacheArray kept before recency ranks, a
+ * 64-bit use stamp per way from one cache-wide counter. Victim choice
+ * is the least-stamped valid way; with a pin predicate, the
+ * least-stamped unpinned way other than that one, else that one.
+ */
+class StampedLru
+{
+  public:
+    struct Way
+    {
+        bool valid = false;
+        Addr addr = 0;
+        std::uint64_t stamp = 0;
+        TestLine line;
+    };
+
+    explicit StampedLru(const CacheParams &p)
+        : assoc_(p.assoc), numSets_(p.numSets()),
+          blockBytes_(p.blockBytes), ways_(numSets_ * assoc_)
+    {
+    }
+
+    std::size_t
+    setBase(Addr ba) const
+    {
+        return static_cast<std::size_t>((ba / blockBytes_) % numSets_) *
+            assoc_;
+    }
+
+    Way *
+    find(Addr ba)
+    {
+        for (std::size_t i = setBase(ba); i < setBase(ba) + assoc_; ++i) {
+            if (ways_[i].valid && ways_[i].addr == ba)
+                return &ways_[i];
+        }
+        return nullptr;
+    }
+
+    Way *
+    touch(Addr ba)
+    {
+        Way *w = find(ba);
+        if (w)
+            w->stamp = ++clock_;
+        return w;
+    }
+
+    template <typename Pinned>
+    Way *
+    allocate(Addr ba, Way *victim, Pinned pinned)
+    {
+        const std::size_t base = setBase(ba);
+        Way *way = nullptr;
+        for (std::size_t i = base; i < base + assoc_ && !way; ++i) {
+            if (!ways_[i].valid)
+                way = &ways_[i];
+        }
+        if (!way) {
+            Way *lru = &ways_[base];
+            for (std::size_t i = base; i < base + assoc_; ++i) {
+                if (ways_[i].stamp < lru->stamp)
+                    lru = &ways_[i];
+            }
+            way = lru;
+            if (pinned(lru->addr, lru->line)) {
+                for (std::size_t i = base; i < base + assoc_; ++i) {
+                    Way *w = &ways_[i];
+                    if (w != lru && !pinned(w->addr, w->line) &&
+                        (way == lru || w->stamp < way->stamp))
+                        way = w;
+                }
+            }
+            *victim = *way;
+        }
+        *way = Way{true, ba, ++clock_, TestLine{}};
+        return way;
+    }
+
+    void invalidate(Addr ba) { find(ba)->valid = false; }
+
+    const std::vector<Way> &ways() const { return ways_; }
+
+  private:
+    std::uint32_t assoc_;
+    std::uint64_t numSets_;
+    std::uint32_t blockBytes_;
+    std::vector<Way> ways_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST(CacheArray, RecencyRanksMatchStampedLruStepForStep)
+{
+    // Random touch / find / allocate (with and without a pin
+    // predicate) / invalidate steps over a footprint of three blocks
+    // per way of 4 sets, so sets fill, evict and drain constantly.
+    // After every step the array and the stamped reference must agree
+    // on the step's result (hit, victim) and on every set's contents.
+    for (std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
+        SCOPED_TRACE("assoc=" + std::to_string(assoc));
+        const CacheParams p{4ull * assoc * 64, assoc, 64, nsToTicks(6)};
+        CacheArray<TestLine> c(p);
+        StampedLru ref(p);
+        std::mt19937_64 rng(assoc);
+        const std::uint64_t blocks = 4ull * assoc * 3;
+        const auto pinOdd = [](Addr, const TestLine &l) {
+            return (l.payload & 1) != 0;
+        };
+        for (int step = 0; step < 100000; ++step) {
+            const Addr ba = (rng() % blocks) * 64;
+            const int op = static_cast<int>(rng() % 8);
+            TestLine *got = c.find(ba);
+            StampedLru::Way *want = ref.find(ba);
+            ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
+            if (op <= 2) {
+                ASSERT_EQ(c.touch(ba) != nullptr,
+                          ref.touch(ba) != nullptr);
+            } else if (op == 3 && got) {
+                // Flip the pin bit in place: find() must not reorder.
+                got->payload ^= 1;
+                want->line.payload ^= 1;
+            } else if (op == 4 && got) {
+                c.invalidate(ba);
+                ref.invalidate(ba);
+            } else if (!got) {
+                const bool pin = op >= 6;
+                CacheArray<TestLine>::Victim v;
+                StampedLru::Way rv;
+                TestLine *l = pin ? c.allocate(ba, &v, pinOdd)
+                                  : c.allocate(ba, &v);
+                StampedLru::Way *rl = ref.allocate(
+                    ba, &rv,
+                    pin ? std::function<bool(Addr, const TestLine &)>(
+                              pinOdd)
+                        : [](Addr, const TestLine &) { return false; });
+                ASSERT_EQ(v.valid, rv.valid) << "step " << step;
+                if (v.valid) {
+                    ASSERT_EQ(v.addr, rv.addr) << "step " << step;
+                    ASSERT_EQ(v.line.payload, rv.line.payload);
+                }
+                l->payload = rl->line.payload =
+                    static_cast<int>(rng() % 1000);
+            }
+            std::vector<std::pair<Addr, int>> have, expect;
+            c.forEachValid([&](Addr a, const TestLine &l) {
+                have.emplace_back(a, l.payload);
+            });
+            for (const StampedLru::Way &w : ref.ways()) {
+                if (w.valid)
+                    expect.emplace_back(w.addr, w.line.payload);
+            }
+            std::sort(have.begin(), have.end());
+            std::sort(expect.begin(), expect.end());
+            ASSERT_EQ(have, expect) << "step " << step;
+        }
+    }
+}
+
+TEST(CacheArray, AssociativityAboveARankByteIsRejected)
+{
+    EXPECT_THROW(CacheArray<TestLine>(CacheParams{257 * 64, 257, 64, 1}),
+                 std::invalid_argument);
+    CacheArray<TestLine> widest(CacheParams{256 * 64, 256, 64, 1});
+    EXPECT_EQ(widest.params().numSets(), 1u);
 }
 
 TEST(Dram, FixedLatency)

@@ -347,11 +347,15 @@ TEST(ProcessCrashRecovery, PartialFrameThenHangIsRecoveredByDeadline)
 TEST(ProcessCrashRecovery, RespawnedWorkerCrashingAgainIsStillRecovered)
 {
     // Every process spawned into slot 0 — the initial worker AND each
-    // respawn — crashes after its second shard. The respawn budget
-    // (2x workers = 6) absorbs the churn; healthy slots 1 and 2 plus
-    // the retry budget carry the sweep to the same digests.
+    // respawn — crashes on its first shard. Slot 0 is handed the
+    // sweep's first shard before any worker has run, so the initial
+    // worker always crashes and is always respawned, however fast the
+    // healthy slots are; each respawn that is handed a shard crashes
+    // again. The respawn budget (2x workers = 6) absorbs the churn;
+    // healthy slots 1 and 2 plus the retry budget carry the sweep to
+    // the same digests.
     int respawns = 0;
-    ParallelRunnerOptions o = faulted(3, WorkerFault::Kind::crash, 1);
+    ParallelRunnerOptions o = faulted(3, WorkerFault::Kind::crash, 0);
     o.maxShardRetries = 20;
     o.workerFault.spawnGeneration = -1;   // every spawn
     o.progress = [&](const std::string &l) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -22,6 +23,7 @@
 
 #include "harness/snapshot.hh"
 #include "harness/wire.hh"
+#include "mem/cache.hh"
 
 namespace tokensim {
 namespace {
@@ -748,10 +750,15 @@ TEST(WireSnapshot, BadMagicAndVersionAreTypedErrors)
     bad_magic[0] = 'X';
     EXPECT_THROW(peekSnapshotHeader(bad_magic), SnapshotError);
 
-    std::string bad_version = warmedSnapshot(cfg);
-    bad_version[sizeof snapshotMagic] =
-        static_cast<char>(snapshotVersion + 1);
-    EXPECT_THROW(peekSnapshotHeader(bad_version), SnapshotError);
+    for (int skew : {-1, 1}) {
+        // The next layout, and the previous one (version 1 stored
+        // 64-bit LRU stamps where version 2 stores ranks).
+        std::string bad_version = warmedSnapshot(cfg);
+        bad_version[sizeof snapshotMagic] =
+            static_cast<char>(snapshotVersion + skew);
+        EXPECT_THROW(peekSnapshotHeader(bad_version), SnapshotError)
+            << "version " << snapshotVersion + skew;
+    }
 
     // A checkpoint is not a snapshot.
     EXPECT_THROW(peekSnapshotHeader(encodeCheckpointHeader(1, 2)),
@@ -778,11 +785,26 @@ TEST(WireSnapshot, WrongShapeFingerprintIsATypedError)
     EXPECT_THROW(loadWarmSnapshot(sys2, snap), SnapshotError);
 }
 
+/** snapshotConfig() with an L2 of 16 two-way sets, which oltp's
+ *  4096-block warm scan overflows: every set saved full, so the
+ *  snapshot's LRU ranks are not all zero. */
+SystemConfig
+fullSetsConfig(ProtocolKind proto)
+{
+    SystemConfig cfg = snapshotConfig(proto);
+    cfg.l2 = CacheParams{2 * 1024, 2, 64, nsToTicks(6)};
+    cfg.seq.l1 = CacheParams{512, 2, 64, nsToTicks(2)};
+    return cfg;
+}
+
 TEST(WireSnapshot, TruncationAtEveryByteOffsetIsATypedError)
 {
     for (ProtocolKind proto : kCodecFamilies) {
-        SCOPED_TRACE(protocolName(proto));
-        const SystemConfig cfg = snapshotConfig(proto);
+      for (bool full_sets : {false, true}) {
+        SCOPED_TRACE(std::string(protocolName(proto)) +
+                     (full_sets ? " full sets" : ""));
+        const SystemConfig cfg =
+            full_sets ? fullSetsConfig(proto) : snapshotConfig(proto);
         const std::string full = warmedSnapshot(cfg, 200);
         System sys(cfg);
         for (std::size_t cut = 0; cut < full.size(); ++cut) {
@@ -801,6 +823,117 @@ TEST(WireSnapshot, TruncationAtEveryByteOffsetIsATypedError)
         }
         ASSERT_TRUE(sys.reset(cfg));
         EXPECT_NO_THROW(loadWarmSnapshot(sys, full));
+      }
+    }
+}
+
+TEST(WireSnapshot, FullSetsRestoreToTheSameRun)
+{
+    // Saved sets are full, so their ranks decide every later victim:
+    // load -> run must equal fast-forward -> run, and the restored
+    // state must re-encode to the same bytes.
+    for (ProtocolKind proto : kCodecFamilies) {
+        SCOPED_TRACE(protocolName(proto));
+        SystemConfig cfg = fullSetsConfig(proto);
+        cfg.opsPerProcessor = 300;
+        System warmed(cfg);
+        warmed.fastForward(200);
+        const std::string snap = saveWarmSnapshot(warmed);
+        System restored(cfg);
+        loadWarmSnapshot(restored, snap);
+        EXPECT_EQ(saveWarmSnapshot(restored), snap);
+        warmed.run();
+        restored.run();
+        EXPECT_TRUE(warmed.results().metrics ==
+                    restored.results().metrics);
+    }
+}
+
+/** A cache line that is just its value, as the L1 keeps. */
+struct ValueLine
+{
+    std::uint64_t data = 0;
+};
+
+/** 4 sets x 4 ways; blocks 0x000, 0x100, 0x200, 0x300 share set 0. */
+const CacheParams kRankCache{1024, 4, 64, 1};
+
+/** Decode hand-written ways {way, rank, addr} into a fresh array. */
+void
+decodeHandWrittenWays(
+    const std::vector<std::array<std::uint64_t, 3>> &ways)
+{
+    WireWriter w;
+    w.varint(ways.size());
+    for (const auto &way : ways) {
+        w.varint(way[0]);
+        w.u8(static_cast<std::uint8_t>(way[1]));
+        w.varint(way[2]);
+        w.varint(7);   // payload
+    }
+    const std::string buf = w.take();
+    WireReader r(buf);
+    CacheArray<ValueLine> c(kRankCache);
+    c.decodeWays(r, [](WireReader &in) {
+        return ValueLine{in.varint("value")};
+    });
+    r.expectEnd("hand-written ways");
+}
+
+TEST(WireSnapshot, CacheSetRanksMustBeAPermutation)
+{
+    EXPECT_NO_THROW(decodeHandWrittenWays(
+        {{0, 2, 0x000}, {1, 0, 0x100}, {3, 1, 0x300}, {4, 0, 0x040}}));
+    // Duplicate rank within a set.
+    EXPECT_THROW(decodeHandWrittenWays({{0, 1, 0x000}, {1, 1, 0x100}}),
+                 WireError);
+    // Rank not below the set's valid count, inside and beyond assoc.
+    EXPECT_THROW(decodeHandWrittenWays({{0, 0, 0x000}, {1, 2, 0x100}}),
+                 WireError);
+    EXPECT_THROW(decodeHandWrittenWays({{0, 200, 0x000}}), WireError);
+    // The last set is checked at the end of the list, not only when
+    // the next set opens.
+    EXPECT_THROW(
+        decodeHandWrittenWays({{0, 0, 0x000}, {4, 0, 0x040},
+                               {5, 0, 0x140}}),
+        WireError);
+    // Ways must come in ascending order (each set contiguous).
+    EXPECT_THROW(decodeHandWrittenWays({{1, 0, 0x000}, {0, 1, 0x100}}),
+                 WireError);
+}
+
+TEST(WireSnapshot, CacheRanksRoundTripToTheSameVictims)
+{
+    // Fill every set, shuffle recency with touches and an
+    // invalidation, then save and restore: the copy re-encodes to the
+    // same bytes and evicts exactly what the original evicts.
+    CacheArray<ValueLine> a(kRankCache);
+    CacheArray<ValueLine>::Victim v;
+    for (Addr ba = 0; ba < 16 * 64; ba += 64)
+        a.allocate(ba, &v)->data = ba;
+    for (Addr ba : {0x100, 0x000, 0x2c0, 0x340, 0x100})
+        a.touch(ba);
+    a.invalidate(0x200);
+    WireWriter w;
+    const auto put = [](WireWriter &out, const ValueLine &l) {
+        out.varint(l.data);
+    };
+    a.encodeWays(w, put);
+    const std::string buf = w.take();
+    CacheArray<ValueLine> b(kRankCache);
+    WireReader r(buf);
+    b.decodeWays(r, [](WireReader &in) {
+        return ValueLine{in.varint("value")};
+    });
+    WireWriter again;
+    b.encodeWays(again, put);
+    EXPECT_EQ(again.take(), buf);
+    for (Addr ba = 0x1000; ba < 0x1000 + 40 * 64; ba += 64) {
+        CacheArray<ValueLine>::Victim va, vb;
+        a.allocate(ba, &va);
+        b.allocate(ba, &vb);
+        ASSERT_EQ(va.valid, vb.valid);
+        EXPECT_EQ(va.addr, vb.addr) << "allocating " << ba;
     }
 }
 
