@@ -10,15 +10,17 @@
  *   $ ./sweep_tool --help          (every option, with its default)
  *
  * `run` sweeps a protocol x workload matrix through the
- * ParallelRunner — on threads, or on forked worker processes — or
- * through the serial oracle loop, for comparison. It prints exactly
- * one machine-parseable line per design point on stdout —
- * `<label> <resultDigest()>` in spec order — so piping or diffing
- * sweep outputs works unconditionally; all progress, partial
- * aggregates, and the --stats summary go to stderr. Because every
- * executor is bit-identical, `diff <(sweep_tool run --serial ...)
- * <(sweep_tool run --workers 8 ...)` must always be empty — CI's
- * multi-process smoke step enforces exactly that.
+ * ParallelRunner's worker threads, or through the serial oracle loop,
+ * for comparison. It prints exactly one machine-parseable line per
+ * design point on stdout — `<label> <resultDigest()>` in spec order —
+ * so piping or diffing sweep outputs works unconditionally; all
+ * progress, partial aggregates, and the --stats summary go to stderr.
+ * Because the runner is bit-identical to the oracle at every width,
+ * `diff <(sweep_tool run --serial ...) <(sweep_tool run --threads 8
+ * ...)` must always be empty — CI's smoke sweeps enforce exactly
+ * that. With --progress, each shard's "started" line comes before
+ * its result, so a sweep that crashes or hangs names the shard it was
+ * in.
  *
  * `trace record` is `run` for one design point and one seed that also
  * writes the op streams it pulled to OUT. Replay is `run --workloads
@@ -136,12 +138,9 @@ struct Options
     std::string snapshot;   // --snapshot PATH (empty: no snapshot)
     int seeds = 2;
     std::uint64_t seed = 1;
-    int workers = 0;        // 0: run on threads
     int threads = 0;
     bool serial = false;
     std::string checkpoint;
-    int retries = 2;
-    long shardTimeoutMs = 0;
     bool progress = false;
     bool stats = false;
     bool metrics = false;
@@ -201,23 +200,17 @@ printHelp(std::FILE *out, const char *argv0)
         "                      typed errors up front)\n"
         "  --seeds N           seeds per design point (default %d)\n"
         "  --seed S            base seed (default %llu)\n"
-        "  --workers N         forked worker processes (default 0 = "
-        "threads)\n"
-        "  --threads N         worker threads when workers = 0 "
-        "(default: TOKENSIM_THREADS,\n"
-        "                      else hardware)\n"
+        "  --threads N         worker threads (default: "
+        "TOKENSIM_THREADS, else hardware)\n"
         "  --serial            serial oracle loop\n"
         "  --checkpoint PATH   append completed shards to PATH; "
         "rerun with the same\n"
         "                      PATH to resume after a crash (not "
         "with --serial)\n"
-        "  --retries N         max reassignments of one shard after "
-        "worker deaths (default %d)\n"
-        "  --shard-timeout MS  per-shard hang deadline; 0 = auto "
-        "(10x slowest shard of\n"
-        "                      that design point, >= 10 s), -1 = off "
-        "(default %ld)\n"
-        "  --progress          stream per-shard progress to stderr\n"
+        "  --progress          stream per-shard progress to stderr "
+        "(each shard's\n"
+        "                      \"started\" line names it if the run "
+        "crashes or hangs)\n"
         "  --stats             summary table after the run (stderr)\n"
         "  --metrics           dump merged metric registries "
         "(stderr)\n"
@@ -233,8 +226,7 @@ printHelp(std::FILE *out, const char *argv0)
         presetList().c_str(), d.nodes,
         static_cast<unsigned long long>(d.ops),
         static_cast<unsigned long long>(d.warmup), d.seeds,
-        static_cast<unsigned long long>(d.seed), d.retries,
-        d.shardTimeoutMs, figureList().c_str(),
+        static_cast<unsigned long long>(d.seed), figureList().c_str(),
         static_cast<unsigned long long>(FigureSize{}.ops),
         static_cast<unsigned long long>(FigureSize::minOps),
         FigureSize{}.seeds);
@@ -346,18 +338,12 @@ parseOptions(int argc, char **argv, int first)
             o.seeds = parseInt(a, value(), 1);
         else if (a == "--seed")
             o.seed = parseU64(a, value());
-        else if (a == "--workers")
-            o.workers = parseInt(a, value(), 0);
         else if (a == "--threads")
             o.threads = parseInt(a, value(), 0);
         else if (a == "--serial")
             o.serial = true;
         else if (a == "--checkpoint")
             o.checkpoint = value();
-        else if (a == "--retries")
-            o.retries = parseInt(a, value(), 0);
-        else if (a == "--shard-timeout")
-            o.shardTimeoutMs = parseI64(a, value(), -1);
         else if (a == "--help")
             o.help = true;
         else if (a == "--progress")
@@ -367,7 +353,7 @@ parseOptions(int argc, char **argv, int first)
         else if (a == "--metrics")
             o.metrics = true;
         else
-            throw std::invalid_argument("unknown option: " + a);
+            throw ArgError("unknown option: " + a);
     }
     return o;
 }
@@ -548,8 +534,8 @@ runSweep(const Options &o)
                 std::to_string(o.seeds));
         }
         // A restored shard would skip the run that writes the trace.
-        // (The runner and System reject --workers, --sample and
-        // --snapshot with a recorded trace themselves.)
+        // (System rejects --sample and --snapshot with a recorded
+        // trace itself.)
         if (!o.checkpoint.empty()) {
             throw std::invalid_argument(
                 "--checkpoint does not apply to trace record");
@@ -562,7 +548,7 @@ runSweep(const Options &o)
     if (!o.checkpoint.empty() && o.serial) {
         throw std::invalid_argument(
             "--checkpoint does not apply to --serial (the oracle loop "
-            "keeps no shard grid); use --threads or --workers");
+            "keeps no shard grid); use --threads");
     }
 
     std::vector<ExperimentResult> results;
@@ -575,27 +561,21 @@ runSweep(const Options &o)
                 runExperiment(s.cfg, s.seeds, s.label));
     } else {
         ParallelRunnerOptions p;
-        p.processes = o.workers >= 1;
-        p.threads = p.processes ? o.workers : o.threads;
-        p.maxShardRetries = o.retries;
-        p.shardTimeoutMs = o.shardTimeoutMs;
+        p.threads = o.threads;
         p.checkpointPath = o.checkpoint;
-        // Checkpoint and worker-lifecycle events (restore counts,
-        // hang kills, respawns, degradation) are operationally
-        // significant, so they print even without --progress; the
-        // chatty per-shard lines stay opt-in.
+        // Checkpoint events (restore counts, a failed append) print
+        // even without --progress; the chatty per-shard lines stay
+        // opt-in.
         const bool verbose = o.progress;
         p.progress = [verbose](const std::string &line) {
-            if (verbose || line.rfind("checkpoint", 0) == 0 ||
-                line.rfind("worker", 0) == 0)
+            if (verbose || line.rfind("checkpoint", 0) == 0)
                 std::fprintf(stderr, "sweep: %s\n", line.c_str());
         };
         const ParallelRunner runner(std::move(p));
         std::fprintf(stderr,
                      "sweep: %zu design points x %d seeds across %d "
-                     "%s\n",
-                     specs.size(), o.seeds, runner.threads(),
-                     o.workers >= 1 ? "worker processes" : "threads");
+                     "threads\n",
+                     specs.size(), o.seeds, runner.threads());
         results = runner.run(specs);
     }
 

@@ -3,19 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <climits>
-#include <csignal>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "harness/argparse.hh"
@@ -58,15 +53,6 @@ struct WorkerArena
     std::unique_ptr<System> sys;
     std::size_t lastSpec = ~std::size_t{0};
 };
-
-/** Monotonic milliseconds, for shard deadlines. */
-long long
-monoMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 bool
 writeAll(int fd, const std::string &data)
@@ -111,10 +97,10 @@ readCheckpoint(int fd, const std::string &path)
 }
 
 /**
- * The scheduler state both executors share: the shard list, the
- * (spec, seed) result grid, the checkpoint file, the progress lines,
- * and the lowest failed shard. complete() and fail() may be called
- * from any worker thread; they serialize on one lock.
+ * The scheduler state: the shard list, the (spec, seed) result grid,
+ * the checkpoint file, the progress lines, and the lowest failed
+ * shard. start(), complete() and fail() may be called from any worker
+ * thread; they serialize on one lock.
  */
 class Sweep
 {
@@ -172,6 +158,18 @@ class Sweep
             same_spec);
     }
 
+    /** Name shard @p sh as taken, so a crash or hang leaves it last. */
+    void
+    start(std::size_t sh)
+    {
+        if (!opts_.progress)
+            return;
+        std::lock_guard<std::mutex> g(lock_);
+        const Shard &s = shards[sh];
+        emit(strformat("shard (spec %zu \"%s\" seed %d) started", s.spec,
+                       specs[s.spec].label.c_str(), s.seed));
+    }
+
     /** Record a completed shard: grid, checkpoint, progress. */
     void
     complete(std::size_t sh, System::Results res)
@@ -198,30 +196,14 @@ class Sweep
         resolve(sh, "errored");
     }
 
-    void
-    note(const std::string &line)
-    {
-        std::lock_guard<std::mutex> g(lock_);
-        emit(line);
-    }
-
-    /** Single-threaded callers only (the process executor). */
-    bool done() const { return resolved_ == shards.size(); }
-
-    /** Rethrow the lowest failed shard's error, if any. */
-    void
-    throwIfFailed() const
-    {
-        if (!errors_.empty())
-            throw std::runtime_error(errors_.begin()->second);
-    }
-
     /** The results; see ParallelRunner::run for @p failures. */
     std::vector<ExperimentResult>
     finish(std::vector<std::string> *failures)
     {
         if (!failures) {
-            throwIfFailed();
+            // The lowest failed shard's error, whatever finished first.
+            if (!errors_.empty())
+                throw std::runtime_error(errors_.begin()->second);
             return std::move(out_);
         }
         failures->assign(specs.size(), std::string());
@@ -402,10 +384,6 @@ Sweep::restore()
     return todo;
 }
 
-// ---------------------------------------------------------------------
-// Thread executor
-// ---------------------------------------------------------------------
-
 void
 runThreads(Sweep &sweep, const std::vector<std::size_t> &todo,
            std::size_t width)
@@ -419,6 +397,7 @@ runThreads(Sweep &sweep, const std::vector<std::size_t> &todo,
             if (k >= todo.size())
                 return;
             const std::size_t sh = todo[k];
+            sweep.start(sh);
             try {
                 sweep.complete(sh, sweep.compute(arena, sh));
             } catch (const std::exception &e) {
@@ -442,482 +421,6 @@ runThreads(Sweep &sweep, const std::vector<std::size_t> &todo,
         t.join();
 }
 
-// ---------------------------------------------------------------------
-// Process executor
-// ---------------------------------------------------------------------
-
-/** Parent-side state of one worker: a forked child on a pipe pair. */
-struct WorkerProc
-{
-    pid_t pid = -1;
-    int in = -1;             ///< parent writes job frames here
-    int out = -1;            ///< parent reads replies here
-    std::string rbuf;        ///< partially received reply bytes
-    bool alive = false;
-    long shard = -1;         ///< outstanding shard index, -1 if idle
-    long long assignMs = 0;  ///< when the outstanding shard was sent
-};
-
-/**
- * A dead worker's write end raises SIGPIPE in the parent; we want the
- * EPIPE errno (handled as "worker died, reassign") instead of process
- * death. Scoped so library users' dispositions are restored.
- */
-struct SigpipeIgnore
-{
-    struct sigaction old;
-
-    SigpipeIgnore()
-    {
-        struct sigaction sa;
-        std::memset(&sa, 0, sizeof(sa));
-        sa.sa_handler = SIG_IGN;
-        sigemptyset(&sa.sa_mask);
-        sigaction(SIGPIPE, &sa, &old);
-    }
-
-    ~SigpipeIgnore() { sigaction(SIGPIPE, &old, nullptr); }
-};
-
-/**
- * A forked worker's serve loop: read job frames (a shard index each)
- * from @p in_fd, run the shard, and reply on @p out_fd with a result
- * frame, or an error frame if the shard threw, until EOF. Returns the
- * process exit code (0 on a clean EOF shutdown).
- */
-int
-serveShards(const Sweep &sweep, int in_fd, int out_fd,
-            const WorkerFault &fault)
-{
-    WorkerArena arena;
-    std::string buf;
-    std::size_t pos = 0;
-    int served = 0;
-
-    for (;;) {
-        Frame f;
-        std::uint64_t sh = 0;
-        try {
-            if (!tryExtractFrame(buf, pos, f)) {
-                buf.erase(0, pos);
-                pos = 0;
-                char chunk[1 << 16];
-                const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
-                if (n == 0)
-                    return 0;   // EOF: sweep complete, clean shutdown
-                if (n < 0 && errno != EINTR)
-                    return 2;
-                if (n > 0)
-                    buf.append(chunk, static_cast<std::size_t>(n));
-                continue;
-            }
-            if (f.type != FrameType::job)
-                return 2;
-            sh = decodeJobPayload(f.payload);
-        } catch (const WireError &) {
-            return 2;   // corrupt input stream: parent-side bug
-        }
-        if (sh >= sweep.shards.size())
-            return 2;
-
-        std::string reply;
-        try {
-            appendFrame(reply, FrameType::result,
-                        encodeResultPayload(
-                            sh, sweep.compute(
-                                    arena, static_cast<std::size_t>(sh))));
-        } catch (const std::exception &e) {
-            appendFrame(reply, FrameType::error,
-                        encodeErrorPayload(sh, e.what()));
-        } catch (...) {
-            appendFrame(reply, FrameType::error,
-                        encodeErrorPayload(sh, "unknown error"));
-        }
-
-        if (fault.kind != WorkerFault::Kind::none &&
-            served == fault.afterShards) {
-            const std::string half = reply.substr(0, reply.size() / 2);
-            switch (fault.kind) {
-              case WorkerFault::Kind::none:
-                break;
-              case WorkerFault::Kind::crash:
-                ::raise(SIGKILL);
-                break;
-              case WorkerFault::Kind::truncate:
-                writeAll(out_fd, half);
-                return 3;
-              case WorkerFault::Kind::hang:
-                for (;;)
-                    ::pause();
-              case WorkerFault::Kind::partialFrame:
-                writeAll(out_fd, half);
-                for (;;)
-                    ::pause();
-              case WorkerFault::Kind::garbage:
-                // 0xee is not a frame type: the parent's decoder throws.
-                writeAll(out_fd, std::string(64, '\xee'));
-                return 3;
-            }
-        }
-        if (!writeAll(out_fd, reply))
-            return 2;
-        ++served;
-    }
-}
-
-/**
- * Fork one worker. @p parent_fds lists every parent-side pipe fd
- * currently open: the child must close them all, or a sibling's death
- * would never read as EOF in the parent (the child's copy of the
- * write end keeps the pipe alive).
- */
-WorkerProc
-spawnWorker(const Sweep &sweep, const WorkerFault &fault,
-            std::vector<int> &parent_fds)
-{
-    int job[2];
-    int res[2];
-    if (::pipe(job) != 0)
-        throw std::runtime_error("ParallelRunner: pipe() failed");
-    if (::pipe(res) != 0) {
-        ::close(job[0]);
-        ::close(job[1]);
-        throw std::runtime_error("ParallelRunner: pipe() failed");
-    }
-
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        for (int fd : {job[0], job[1], res[0], res[1]})
-            ::close(fd);
-        throw std::runtime_error("ParallelRunner: fork() failed");
-    }
-
-    if (pid == 0) {
-        // Child. Only _exit() from here: no atexit handlers, no
-        // flushing of stdio buffers inherited mid-write.
-        ::close(job[1]);
-        ::close(res[0]);
-        for (int fd : parent_fds)
-            ::close(fd);
-        _exit(serveShards(sweep, job[0], res[1], fault));
-    }
-
-    ::close(job[0]);
-    ::close(res[1]);
-    // Replies are drained opportunistically from a poll loop.
-    const int fl = ::fcntl(res[0], F_GETFL, 0);
-    ::fcntl(res[0], F_SETFL, fl | O_NONBLOCK);
-    parent_fds.push_back(job[1]);
-    parent_fds.push_back(res[0]);
-
-    WorkerProc w;
-    w.pid = pid;
-    w.in = job[1];
-    w.out = res[0];
-    w.alive = true;
-    return w;
-}
-
-void
-closeAndReap(WorkerProc &w, std::vector<int> &parent_fds)
-{
-    if (!w.alive)
-        return;
-    w.alive = false;
-    for (int fd : {w.in, w.out}) {
-        ::close(fd);
-        parent_fds.erase(
-            std::remove(parent_fds.begin(), parent_fds.end(), fd),
-            parent_fds.end());
-    }
-    w.in = w.out = -1;
-    int status = 0;
-    ::waitpid(w.pid, &status, 0);
-}
-
-void
-runProcesses(Sweep &sweep, const std::vector<std::size_t> &todo,
-             std::size_t width, const ParallelRunnerOptions &opts)
-{
-    const std::vector<ExperimentSpec> &specs = sweep.specs;
-    const std::vector<Shard> &shards = sweep.shards;
-
-    SigpipeIgnore sigpipe_guard;
-    std::vector<int> parentFds;
-    std::vector<WorkerProc> pool;
-    std::deque<std::size_t> pending(todo.begin(), todo.end());
-    std::vector<int> retries(shards.size(), 0);
-
-    const std::size_t nworkers = std::min(width, pending.size());
-    const int respawnBudget = 2 * static_cast<int>(nworkers);
-    int respawnsUsed = 0;
-    int workerDeaths = 0;
-    std::vector<int> spawnGen(nworkers, 0);
-    std::vector<long> maxObservedMs(specs.size(), -1);
-
-    // Fault injection (tests): applies only to the workers whose
-    // (slot, spawn generation) the fault targets.
-    const auto faultFor = [&](std::size_t slot, int gen) -> WorkerFault {
-        const WorkerFault &f = opts.workerFault;
-        if ((f.worker >= 0 && static_cast<std::size_t>(f.worker) != slot) ||
-            (f.spawnGeneration >= 0 && f.spawnGeneration != gen))
-            return WorkerFault{};
-        return f;
-    };
-
-    // A failed shard goes back to the FRONT of the queue: it is the
-    // sweep's oldest outstanding work and downstream consumers wait
-    // on whole design points, not individual seeds.
-    const auto failShard = [&](long sh) {
-        if (sh < 0)
-            return;
-        if (++retries[sh] > opts.maxShardRetries) {
-            // The same shard keeps taking workers down: a shard
-            // poison, not worker flakiness. Surface a shard's own
-            // error if one was recorded.
-            sweep.throwIfFailed();
-            const Shard &s = shards[static_cast<std::size_t>(sh)];
-            throw std::runtime_error(strformat(
-                "ParallelRunner: shard (spec \"%s\", seed %d) failed %d "
-                "times (workers keep dying on it); giving up",
-                specs[s.spec].label.c_str(), s.seed, retries[sh]));
-        }
-        pending.push_front(static_cast<std::size_t>(sh));
-    };
-
-    const auto workerDied = [&](std::size_t slot) {
-        WorkerProc &w = pool[slot];
-        if (!w.alive)
-            return;
-        const long sh = w.shard;
-        w.shard = -1;
-        closeAndReap(w, parentFds);
-        ++workerDeaths;
-        failShard(sh);
-        // Replace the dead worker while the churn budget lasts: a
-        // sweep should survive flaky workers without shrinking its
-        // parallelism (and tests can fault the replacement too, via
-        // WorkerFault::spawnGeneration).
-        if (sweep.done())
-            return;
-        if (respawnsUsed < respawnBudget) {
-            ++respawnsUsed;
-            const int gen = ++spawnGen[slot];
-            pool[slot] = spawnWorker(sweep, faultFor(slot, gen), parentFds);
-            sweep.note(strformat("worker %zu died (death %d); respawned "
-                                 "(%d/%d respawns used)",
-                                 slot, workerDeaths, respawnsUsed,
-                                 respawnBudget));
-        } else {
-            sweep.note(strformat(
-                "worker %zu died (death %d); respawn budget spent",
-                slot, workerDeaths));
-        }
-    };
-
-    const auto assignIdle = [&]() {
-        for (std::size_t k = 0; k < pool.size(); ++k) {
-            WorkerProc &w = pool[k];
-            if (!w.alive || w.shard >= 0 || pending.empty())
-                continue;
-            const std::size_t sh = pending.front();
-            pending.pop_front();
-            std::string job;
-            appendFrame(job, FrameType::job, encodeJobPayload(sh));
-            w.shard = static_cast<long>(sh);
-            w.assignMs = monoMs();
-            if (!writeAll(w.in, job))
-                workerDied(k);
-        }
-    };
-
-    /**
-     * The live deadline for the shard @p w is running: fixed when
-     * configured, derived from the slowest completed shard of the
-     * SAME design point in auto mode (no estimate until that spec's
-     * first completion), -1 when idle or detection is off. Per-spec
-     * because shard cost is a property of the design point — at
-     * kilonode geometries a broadcast protocol runs 100x longer than
-     * a directory one in the same sweep, and a global estimate seeded
-     * by the cheap spec would kill every healthy shard of the
-     * expensive one. Seeds of one spec are near-identical in cost,
-     * so 10x its own slowest shard stays a safe hang bound.
-     */
-    const auto deadlineMs = [&](const WorkerProc &w) -> long {
-        if (w.shard < 0)
-            return -1;
-        const std::size_t spec =
-            shards[static_cast<std::size_t>(w.shard)].spec;
-        if (opts.shardTimeoutMs > 0)
-            return opts.shardTimeoutMs;
-        if (opts.shardTimeoutMs < 0 || maxObservedMs[spec] < 0)
-            return -1;
-        return std::max<long>(10000, 10 * maxObservedMs[spec]);
-    };
-
-    /** Decode every complete frame buffered for @p w. Throws
-     *  WireError on a malformed or out-of-protocol reply. */
-    const auto processBuffer = [&](WorkerProc &w) {
-        Frame f;
-        std::size_t pos = 0;
-        while (w.alive && tryExtractFrame(w.rbuf, pos, f)) {
-            if (w.shard < 0)
-                throw WireError("reply with no job outstanding");
-            const std::size_t sh = static_cast<std::size_t>(w.shard);
-            switch (f.type) {
-              case FrameType::result: {
-                ResultFrame rf = decodeResultPayload(f.payload);
-                if (rf.jobId != sh)
-                    throw WireError("result frame for wrong job");
-                w.shard = -1;
-                const std::size_t spec = shards[sh].spec;
-                maxObservedMs[spec] = std::max<long>(
-                    maxObservedMs[spec],
-                    static_cast<long>(monoMs() - w.assignMs));
-                sweep.complete(sh, std::move(rf.results));
-                break;
-              }
-              case FrameType::error: {
-                // The shard itself threw (e.g. an invalid config): a
-                // deterministic failure every worker would repeat, so
-                // record it instead of reassigning.
-                const ErrorFrame ef = decodeErrorPayload(f.payload);
-                if (ef.jobId != sh)
-                    throw WireError("error frame for wrong job");
-                w.shard = -1;
-                sweep.fail(sh, ef.message);
-                break;
-              }
-              default:
-                throw WireError("unexpected frame type from worker");
-            }
-        }
-        w.rbuf.erase(0, pos);
-    };
-
-    const auto serviceWorker = [&](std::size_t slot) {
-        WorkerProc &w = pool[slot];
-        bool eof = false;
-        for (;;) {
-            char chunk[1 << 16];
-            const ssize_t n = ::read(w.out, chunk, sizeof(chunk));
-            if (n > 0) {
-                w.rbuf.append(chunk, static_cast<std::size_t>(n));
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            eof = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
-            break;
-        }
-        try {
-            processBuffer(w);
-        } catch (const WireError &) {
-            // Malformed reply: the worker is corrupt, not slow. Its
-            // shard reassigns to a healthy worker.
-            ::kill(w.pid, SIGKILL);
-            workerDied(slot);
-            return;
-        }
-        if (eof)
-            workerDied(slot);
-    };
-
-    try {
-        // Slots are fixed; a dead worker respawns IN PLACE.
-        pool.reserve(nworkers);
-        for (std::size_t k = 0; k < nworkers; ++k)
-            pool.push_back(spawnWorker(sweep, faultFor(k, 0), parentFds));
-
-        while (!sweep.done()) {
-            assignIdle();
-
-            std::vector<struct pollfd> fds;
-            std::vector<std::size_t> who;
-            // Poll no longer than the nearest shard deadline.
-            const long long now = monoMs();
-            long long nearest = LLONG_MAX;
-            for (std::size_t k = 0; k < pool.size(); ++k) {
-                if (!pool[k].alive)
-                    continue;
-                fds.push_back(pollfd{pool[k].out, POLLIN, 0});
-                who.push_back(k);
-                if (const long d = deadlineMs(pool[k]); d > 0) {
-                    nearest =
-                        std::min(nearest, pool[k].assignMs + d - now);
-                }
-            }
-
-            if (fds.empty()) {
-                // Respawn budget spent and the pool is gone, but the
-                // sweep is not: degrade to in-process execution. The
-                // results are identical by construction — a shard's
-                // outcome depends only on (spec, seed).
-                sweep.note(strformat(
-                    "worker pool exhausted after %d deaths; running "
-                    "%zu remaining shards in-process",
-                    workerDeaths, pending.size()));
-                runThreads(sweep,
-                           std::vector<std::size_t>(pending.begin(),
-                                                    pending.end()),
-                           1);
-                break;
-            }
-
-            const int timeoutMs = nearest == LLONG_MAX
-                ? -1
-                : static_cast<int>(std::min<long long>(
-                      std::max<long long>(nearest, 0), INT_MAX));
-            const int rc = ::poll(
-                fds.data(), static_cast<nfds_t>(fds.size()), timeoutMs);
-            if (rc < 0) {
-                if (errno == EINTR)
-                    continue;
-                throw std::runtime_error(
-                    std::string("ParallelRunner: poll(): ") +
-                    std::strerror(errno));
-            }
-            for (std::size_t i = 0; i < fds.size(); ++i) {
-                if (fds[i].revents)
-                    serviceWorker(who[i]);
-            }
-
-            // Reap hung workers: alive, a shard outstanding, and
-            // silent past the deadline. SIGKILL converts "hung" into
-            // the crash path — reassign + respawn within budget.
-            const long long later = monoMs();
-            for (std::size_t k = 0; k < pool.size(); ++k) {
-                const WorkerProc &w = pool[k];
-                const long deadline = deadlineMs(w);
-                if (!w.alive || deadline <= 0 ||
-                    later - w.assignMs < deadline)
-                    continue;
-                const Shard &s = shards[static_cast<std::size_t>(w.shard)];
-                sweep.note(strformat(
-                    "worker %zu hung on shard (spec \"%s\" seed %d) "
-                    "for %lld ms (deadline %ld ms); killing",
-                    k, specs[s.spec].label.c_str(), s.seed,
-                    static_cast<long long>(later - w.assignMs),
-                    deadline));
-                ::kill(w.pid, SIGKILL);
-                workerDied(k);
-            }
-        }
-
-        // Clean shutdown: EOF on each worker's job pipe makes its
-        // serve loop return 0.
-        for (WorkerProc &w : pool)
-            closeAndReap(w, parentFds);
-    } catch (...) {
-        for (WorkerProc &w : pool) {
-            if (w.alive)
-                ::kill(w.pid, SIGKILL);
-            closeAndReap(w, parentFds);
-        }
-        throw;
-    }
-}
-
 } // namespace
 
 ParallelRunner::ParallelRunner(ParallelRunnerOptions opts)
@@ -931,12 +434,22 @@ std::vector<ExperimentResult>
 ParallelRunner::run(const std::vector<ExperimentSpec> &specs,
                     std::vector<std::string> *failures) const
 {
+    std::set<std::string> tracePaths;
     for (const ExperimentSpec &s : specs) {
-        if (opts_.processes && !s.cfg.recordTrace.empty()) {
+        // Every shard of a recording spec writes its trace file, so
+        // two shards on one path would keep only the last one's ops.
+        if (!s.cfg.recordTrace.empty() && s.seeds != 1) {
+            throw std::invalid_argument(strformat(
+                "ParallelRunner: spec '%s' records %s over %d seeds; "
+                "a recorded trace needs exactly one seed",
+                s.label.c_str(), s.cfg.recordTrace.c_str(), s.seeds));
+        }
+        if (!s.cfg.recordTrace.empty() &&
+            !tracePaths.insert(s.cfg.recordTrace).second) {
             throw std::invalid_argument(
-                "ParallelRunner: spec '" + s.label +
-                "' sets recordTrace; worker processes would race on "
-                "the output file (record serially instead)");
+                "ParallelRunner: spec '" + s.label + "' records to " +
+                s.cfg.recordTrace +
+                ", which another spec records to as well");
         }
         if (!opts_.checkpointPath.empty() && s.cfg.workloadFactory) {
             throw std::invalid_argument(
@@ -949,12 +462,8 @@ ParallelRunner::run(const std::vector<ExperimentSpec> &specs,
 
     Sweep sweep(specs, opts_);
     if (!sweep.shards.empty()) {
-        const std::vector<std::size_t> todo = sweep.restore();
-        const auto width = static_cast<std::size_t>(opts_.threads);
-        if (opts_.processes)
-            runProcesses(sweep, todo, width, opts_);
-        else
-            runThreads(sweep, todo, width);
+        runThreads(sweep, sweep.restore(),
+                   static_cast<std::size_t>(opts_.threads));
     }
     return sweep.finish(failures);
 }

@@ -184,8 +184,8 @@ struct SystemConfig
      * before running. The snapshot must have been saved from a config
      * with the same shape fingerprint (structure + workload + seed;
      * timing knobs are free). Shared so a sweep's many configs carry
-     * one copy in-process; forked sweep workers inherit it, and
-     * the wire codec fingerprints it. Incompatible with recordTrace.
+     * one copy; the wire codec fingerprints it. Incompatible with
+     * recordTrace.
      */
     std::shared_ptr<const std::string> warmSnapshot;
 

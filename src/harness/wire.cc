@@ -64,7 +64,7 @@ encodeSystemConfig(WireWriter &w, const SystemConfig &cfg)
     if (cfg.workloadFactory) {
         throw WireError("cannot serialize a SystemConfig with a "
                         "custom workloadFactory (a std::function "
-                        "does not cross a process boundary)");
+                        "has no encoding)");
     }
 
     w.svarint(cfg.numNodes);
@@ -267,123 +267,6 @@ decodeResults(WireReader &r)
 }
 
 // ---------------------------------------------------------------------
-// Frame layer
-// ---------------------------------------------------------------------
-
-void
-appendFrame(std::string &out, FrameType type,
-            const std::string &payload)
-{
-    if (payload.size() > maxFramePayload)
-        throw WireError("frame payload too large to send");
-    WireWriter w;
-    w.u8(static_cast<std::uint8_t>(type));
-    w.varint(payload.size());
-    out += w.buffer();
-    out += payload;
-}
-
-bool
-tryExtractFrame(const std::string &buf, std::size_t &pos, Frame &out)
-{
-    const std::size_t avail = buf.size() - pos;
-    if (avail < 1)
-        return false;
-    const auto type_byte =
-        static_cast<std::uint8_t>(static_cast<unsigned char>(buf[pos]));
-    if (type_byte < static_cast<std::uint8_t>(FrameType::job) ||
-        type_byte > static_cast<std::uint8_t>(FrameType::error)) {
-        throw WireError("unknown frame type " +
-                        std::to_string(type_byte));
-    }
-
-    // Parse the length varint by hand: running out of buffer here
-    // means "incomplete frame, wait for more bytes" — only a varint
-    // that can never terminate validly is an error.
-    std::uint64_t len = 0;
-    int shift = 0;
-    std::size_t at = pos + 1;
-    for (;;) {
-        if (at >= buf.size())
-            return false;
-        const auto b = static_cast<unsigned char>(buf[at++]);
-        if (shift >= 63 && ((b & 0x7f) > 1 || (b & 0x80)))
-            throw WireError("frame length varint overflows 64 bits");
-        len |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            break;
-        shift += 7;
-    }
-    if (len > maxFramePayload) {
-        throw WireError("frame payload length " + std::to_string(len) +
-                        " exceeds the cap");
-    }
-    if (buf.size() - at < len)
-        return false;
-    out.type = static_cast<FrameType>(type_byte);
-    out.payload.assign(buf, at, static_cast<std::size_t>(len));
-    pos = at + static_cast<std::size_t>(len);
-    return true;
-}
-
-std::string
-encodeJobPayload(std::uint64_t job_id)
-{
-    WireWriter w;
-    w.varint(job_id);
-    return w.take();
-}
-
-std::uint64_t
-decodeJobPayload(const std::string &payload)
-{
-    WireReader r(payload);
-    const std::uint64_t job_id = r.varint("job id");
-    r.expectEnd("job frame");
-    return job_id;
-}
-
-std::string
-encodeResultPayload(std::uint64_t job_id, const System::Results &res)
-{
-    WireWriter w;
-    w.varint(job_id);
-    encodeResults(w, res);
-    return w.take();
-}
-
-ResultFrame
-decodeResultPayload(const std::string &payload)
-{
-    WireReader r(payload);
-    ResultFrame rf;
-    rf.jobId = r.varint("result job id");
-    rf.results = decodeResults(r);
-    r.expectEnd("result frame");
-    return rf;
-}
-
-std::string
-encodeErrorPayload(std::uint64_t job_id, const std::string &message)
-{
-    WireWriter w;
-    w.varint(job_id);
-    w.str(message);
-    return w.take();
-}
-
-ErrorFrame
-decodeErrorPayload(const std::string &payload)
-{
-    WireReader r(payload);
-    ErrorFrame ef;
-    ef.jobId = r.varint("error job id");
-    ef.message = r.str("error message");
-    r.expectEnd("error frame");
-    return ef;
-}
-
-// ---------------------------------------------------------------------
 // Checkpoint layer
 // ---------------------------------------------------------------------
 
@@ -486,7 +369,7 @@ encodeCheckpointRecord(std::uint64_t spec, std::uint64_t seed,
     p.varint(seed);
     encodeResults(p, res);
     const std::string &payload = p.buffer();
-    if (payload.size() > maxFramePayload)
+    if (payload.size() > maxRecordPayload)
         throw WireError("checkpoint record too large to write");
 
     WireWriter w;
@@ -502,9 +385,9 @@ bool
 tryExtractCheckpointRecord(const std::string &buf, std::size_t &pos,
                            CheckpointRecord &out)
 {
-    // Length varint by hand, exactly like tryExtractFrame: running
-    // out of buffer mid-varint is an incomplete (torn) record, not an
-    // error; only a varint that can never terminate validly throws.
+    // Length varint by hand: running out of buffer mid-varint is an
+    // incomplete (torn) record, not an error; only a varint that can
+    // never terminate validly throws.
     std::uint64_t len = 0;
     int shift = 0;
     std::size_t at = pos;
@@ -521,7 +404,7 @@ tryExtractCheckpointRecord(const std::string &buf, std::size_t &pos,
             break;
         shift += 7;
     }
-    if (len > maxFramePayload) {
+    if (len > maxRecordPayload) {
         throw WireError("checkpoint record length " +
                         std::to_string(len) + " exceeds the cap");
     }

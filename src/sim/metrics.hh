@@ -8,7 +8,7 @@
  * stable string name with a merge rule implied by its kind (sum /
  * Welford-combine / bucket-add) and a pinned-vs-diagnostic flag.
  * Aggregation (harness/experiment.cc), parallel sharding
- * (harness/parallel_runner.cc), and the process wire format
+ * (harness/parallel_runner.cc), and the checkpoint wire format
  * (harness/wire.cc) all operate on the registry generically: adding a
  * metric is a one-line registration in System::results(), not a
  * six-file plumbing change.
@@ -21,7 +21,7 @@
  * justification (tests/golden/README.md policy). `diagnostic` metrics
  * (event-kernel counters, traffic breakdowns, latency histograms)
  * describe simulator cost or extra detail: they must still be
- * deterministic — identicalResults() and the dist/parallel
+ * deterministic — identicalResults() and the parallel-vs-serial
  * differential gates compare the *whole* registry — but they stay out
  * of the digest so bookkeeping changes never churn goldens.
  *
@@ -30,7 +30,7 @@
  * A registry is an ordered sequence, not a map: two registries are
  * equal only if they hold the same metrics in the same order with
  * bit-identical payloads. System::results() registers metrics in one
- * fixed order, so serial, threaded, and process-sharded results
+ * fixed order, so serial, threaded, and checkpoint-restored results
  * compare with a plain operator==.
  */
 
@@ -103,8 +103,8 @@ class MetricRegistry
      * Fold @p o into this registry: shared names merge by kind (sum /
      * combine / bucket-add), names only in @p o are appended. This is
      * the one merge every aggregation path uses — cross-seed
-     * (aggregateResults), cross-thread and cross-process
-     * (ParallelRunner) — so they cannot drift apart.
+     * (aggregateResults) and cross-thread (ParallelRunner) — so they
+     * cannot drift apart.
      *
      * @throws std::logic_error if a shared name disagrees on kind or
      * pinned flag: that means two builds registered the same metric

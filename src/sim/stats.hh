@@ -128,11 +128,11 @@ class RunningStat
     double stddev() const { return std::sqrt(variance()); }
 
     /**
-     * The complete internal state, exposed so a RunningStat can cross
-     * a process boundary losslessly (harness/wire.cc ships
-     * System::Results from forked sweep workers). An empty
-     * stat's min/max are the +/-infinity sentinels; they round-trip
-     * as IEEE-754 bit patterns like any other double.
+     * The complete internal state, exposed so a RunningStat can be
+     * encoded losslessly (harness/wire.cc writes System::Results
+     * into sweep checkpoints). An empty stat's min/max are the
+     * +/-infinity sentinels; they round-trip as IEEE-754 bit patterns
+     * like any other double.
      */
     struct Snapshot
     {

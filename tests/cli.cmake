@@ -103,6 +103,11 @@ endfunction()
 
 tool_rejects(run --protocols nosuch)
 tool_rejects(run --ops 12x)
+# The runner has one executor, threads: the old process-executor
+# options are unknown options now.
+tool_rejects(run --workers 2)
+tool_rejects(run --retries 1)
+tool_rejects(run --shard-timeout 5)
 tool_rejects(trace dump "${TRACE}" x)
 tool_rejects(trace stats "${WORK_DIR}/missing.trace")
 tool_rejects(trace record "${WORK_DIR}/two.trace" --protocols tokenb,directory

@@ -99,9 +99,9 @@ TEST(ArgParse, I64RejectsGarbageAndOverflow)
 
 TEST(ArgParse, I64EnforcesCallerRange)
 {
-    EXPECT_EQ(parseI64("--shard-timeout", "-1", -1), -1);
-    expectArgError([] { parseI64("--shard-timeout", "-2", -1); },
-                   "--shard-timeout", "-2");
+    EXPECT_EQ(parseI64("--threads", "0", 0), 0);
+    expectArgError([] { parseI64("--threads", "-1", 0); }, "--threads",
+                   "-1");
 }
 
 TEST(ArgParse, IntNarrowsWithRangeCheck)

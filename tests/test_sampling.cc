@@ -7,9 +7,8 @@
  *    block) and leaves a state the detailed engine runs cleanly from,
  *    for every protocol family;
  *  - a sampled run is deterministic and bit-identical across the
- *    serial loop and the ParallelRunner's thread and process
- *    executors at several widths (fast-forward must not introduce
- *    any scheduling sensitivity);
+ *    serial loop and the ParallelRunner at several widths
+ *    (fast-forward must not introduce any scheduling sensitivity);
  *  - saving a warm snapshot and restoring it into a fresh System is
  *    bit-equivalent to performing the same fast-forward in place;
  *  - one snapshot serves every timing config sharing the shape
@@ -179,20 +178,6 @@ TEST(Sampling, BitIdenticalAcrossParallelWidths)
         expectSameDigests(
             ParallelRunner(ParallelRunnerOptions{threads}).run(specs),
             serial);
-    }
-}
-
-TEST(Sampling, BitIdenticalAcrossProcessWidths)
-{
-    const std::vector<ExperimentSpec> specs = sampledMatrix();
-    const std::vector<ExperimentResult> serial =
-        ParallelRunner(ParallelRunnerOptions{1}).run(specs);
-    for (int workers : {1, 2, 4}) {
-        ParallelRunnerOptions opts;
-        opts.threads = workers;
-        opts.processes = true;
-        expectSameDigests(ParallelRunner(std::move(opts)).run(specs),
-                          serial);
     }
 }
 
@@ -485,13 +470,6 @@ TEST(MultiTenant, BitIdenticalAcrossRunnerWidths)
         expectSameDigests(
             ParallelRunner(ParallelRunnerOptions{threads}).run(specs),
             serial);
-    }
-    for (int workers : {1, 2, 4}) {
-        ParallelRunnerOptions opts;
-        opts.threads = workers;
-        opts.processes = true;
-        expectSameDigests(ParallelRunner(std::move(opts)).run(specs),
-                          serial);
     }
 }
 

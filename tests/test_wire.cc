@@ -474,89 +474,6 @@ TEST(WireStructs, LayoutSkewIsReportedAsVersionMismatch)
 }
 
 // ---------------------------------------------------------------------
-// Frame layer
-// ---------------------------------------------------------------------
-
-TEST(WireFrames, ExtractionIsIncrementalByteByByte)
-{
-    std::string stream;
-    appendFrame(stream, FrameType::job, "payload-one");
-    appendFrame(stream, FrameType::result, "");
-    appendFrame(stream, FrameType::error, std::string(300, 'e'));
-
-    // Feed one byte at a time: a frame must appear exactly when its
-    // last byte arrives, and partial frames must never consume input.
-    std::string buf;
-    std::size_t pos = 0;
-    std::vector<Frame> got;
-    for (char c : stream) {
-        buf.push_back(c);
-        Frame f;
-        while (tryExtractFrame(buf, pos, f))
-            got.push_back(f);
-    }
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0].type, FrameType::job);
-    EXPECT_EQ(got[0].payload, "payload-one");
-    EXPECT_EQ(got[1].type, FrameType::result);
-    EXPECT_EQ(got[1].payload, "");
-    EXPECT_EQ(got[2].type, FrameType::error);
-    EXPECT_EQ(got[2].payload, std::string(300, 'e'));
-    EXPECT_EQ(pos, stream.size());
-}
-
-TEST(WireFrames, UnknownFrameTypeIsATypedError)
-{
-    std::string buf("\x09\x00", 2);
-    std::size_t pos = 0;
-    Frame f;
-    EXPECT_THROW(tryExtractFrame(buf, pos, f), WireError);
-}
-
-TEST(WireFrames, OversizedPayloadLengthIsATypedError)
-{
-    // A length claiming 2^40 bytes must be rejected up front, not
-    // buffered toward OOM.
-    std::string buf;
-    buf.push_back(static_cast<char>(FrameType::job));
-    WireWriter w;
-    w.varint(1ull << 40);
-    buf += w.buffer();
-    std::size_t pos = 0;
-    Frame f;
-    EXPECT_THROW(tryExtractFrame(buf, pos, f), WireError);
-}
-
-TEST(WireFrames, JobResultErrorPayloadsRoundTrip)
-{
-    EXPECT_EQ(decodeJobPayload(encodeJobPayload(42)), 42u);
-    EXPECT_THROW(decodeJobPayload(encodeJobPayload(42) + "x"),
-                 WireError);
-
-    const System::Results res = exhaustiveResults();
-    const ResultFrame rf =
-        decodeResultPayload(encodeResultPayload(7, res));
-    EXPECT_EQ(rf.jobId, 7u);
-    expectSameResults(rf.results, res);
-
-    const ErrorFrame ef = decodeErrorPayload(
-        encodeErrorPayload(9, "system exceeded maxTicks"));
-    EXPECT_EQ(ef.jobId, 9u);
-    EXPECT_EQ(ef.message, "system exceeded maxTicks");
-}
-
-TEST(WireFrames, ResultPayloadTruncationAtEveryByteIsATypedError)
-{
-    const std::string full =
-        encodeResultPayload(3, exhaustiveResults());
-    for (std::size_t cut = 0; cut < full.size(); ++cut) {
-        SCOPED_TRACE("cut=" + std::to_string(cut));
-        EXPECT_THROW(decodeResultPayload(full.substr(0, cut)),
-                     WireError);
-    }
-}
-
-// ---------------------------------------------------------------------
 // Checkpoint layer
 // ---------------------------------------------------------------------
 
@@ -630,10 +547,9 @@ TEST(WireCheckpoint, RecordRoundTripsBitExactly)
 
 TEST(WireCheckpoint, RecordStreamExtractsIncrementally)
 {
-    // Byte-at-a-time feeding, mirroring the frame-layer test: a
-    // record appears exactly when its last (CRC) byte arrives. This
-    // is the torn-tail property — any prefix is "no record yet",
-    // never an error, never a partial success.
+    // Byte-at-a-time feeding: a record appears exactly when its last
+    // (CRC) byte arrives. This is the torn-tail property — any prefix
+    // is "no record yet", never an error, never a partial success.
     std::string stream = encodeCheckpointRecord(0, 0, System::Results{});
     stream += encodeCheckpointRecord(1, 2, exhaustiveResults());
     std::string buf;
@@ -650,6 +566,17 @@ TEST(WireCheckpoint, RecordStreamExtractsIncrementally)
     EXPECT_EQ(got[1].spec, 1u);
     EXPECT_EQ(got[1].seed, 2u);
     EXPECT_EQ(pos, stream.size());
+}
+
+TEST(WireCheckpoint, OversizedRecordLengthIsATypedError)
+{
+    // A length claiming 2^40 bytes must be rejected up front, not read
+    // as a torn tail that waits for more bytes.
+    WireWriter w;
+    w.varint(1ull << 40);
+    std::size_t pos = 0;
+    CheckpointRecord r;
+    EXPECT_THROW(tryExtractCheckpointRecord(w.buffer(), pos, r), WireError);
 }
 
 TEST(WireCheckpoint, CorruptRecordByteIsATypedErrorAtEveryOffset)
@@ -797,36 +724,6 @@ fullSetsConfig(ProtocolKind proto)
     return cfg;
 }
 
-TEST(WireSnapshot, TruncationAtEveryByteOffsetIsATypedError)
-{
-    for (ProtocolKind proto : kCodecFamilies) {
-      for (bool full_sets : {false, true}) {
-        SCOPED_TRACE(std::string(protocolName(proto)) +
-                     (full_sets ? " full sets" : ""));
-        const SystemConfig cfg =
-            full_sets ? fullSetsConfig(proto) : snapshotConfig(proto);
-        const std::string full = warmedSnapshot(cfg, 200);
-        System sys(cfg);
-        for (std::size_t cut = 0; cut < full.size(); ++cut) {
-            SCOPED_TRACE("cut=" + std::to_string(cut));
-            ASSERT_TRUE(sys.reset(cfg));
-            try {
-                loadWarmSnapshot(sys, full.substr(0, cut));
-                FAIL() << "truncated snapshot loaded";
-            } catch (const WireError &) {
-                // Ran off the end of a field: the common case.
-            } catch (const SnapshotError &) {
-                // Truncation inside the fingerprint varint shortens
-                // it to a valid smaller value: reads as a shape
-                // mismatch.
-            }
-        }
-        ASSERT_TRUE(sys.reset(cfg));
-        EXPECT_NO_THROW(loadWarmSnapshot(sys, full));
-      }
-    }
-}
-
 TEST(WireSnapshot, FullSetsRestoreToTheSameRun)
 {
     // Saved sets are full, so their ranks decide every later victim:
@@ -937,7 +834,47 @@ TEST(WireSnapshot, CacheRanksRoundTripToTheSameVictims)
     }
 }
 
-TEST(WireSnapshot, CorruptByteSweepNeverCrashesOrMisparses)
+// The two byte sweeps below are the slow part of this suite, so they
+// run once per codec family as separate tests: the build registers
+// each family as its own ctest entry, which ctest -j runs in parallel.
+class WireSnapshotSweep : public ::testing::TestWithParam<ProtocolKind>
+{};
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, WireSnapshotSweep, ::testing::ValuesIn(kCodecFamilies),
+    [](const ::testing::TestParamInfo<ProtocolKind> &info) {
+        return std::string(protocolName(info.param));
+    });
+
+TEST_P(WireSnapshotSweep, TruncationAtEveryByteOffsetIsATypedError)
+{
+    const ProtocolKind proto = GetParam();
+    for (bool full_sets : {false, true}) {
+        SCOPED_TRACE(full_sets ? "full sets" : "table sets");
+        const SystemConfig cfg =
+            full_sets ? fullSetsConfig(proto) : snapshotConfig(proto);
+        const std::string full = warmedSnapshot(cfg, 200);
+        System sys(cfg);
+        for (std::size_t cut = 0; cut < full.size(); ++cut) {
+            SCOPED_TRACE("cut=" + std::to_string(cut));
+            ASSERT_TRUE(sys.reset(cfg));
+            try {
+                loadWarmSnapshot(sys, full.substr(0, cut));
+                FAIL() << "truncated snapshot loaded";
+            } catch (const WireError &) {
+                // Ran off the end of a field: the common case.
+            } catch (const SnapshotError &) {
+                // Truncation inside the fingerprint varint shortens
+                // it to a valid smaller value: reads as a shape
+                // mismatch.
+            }
+        }
+        ASSERT_TRUE(sys.reset(cfg));
+        EXPECT_NO_THROW(loadWarmSnapshot(sys, full));
+    }
+}
+
+TEST_P(WireSnapshotSweep, CorruptByteSweepNeverCrashesOrMisparses)
 {
     // Flip each byte of a valid snapshot. Every outcome must be a
     // typed error (WireError / SnapshotError) or a clean load into a
@@ -948,25 +885,22 @@ TEST(WireSnapshot, CorruptByteSweepNeverCrashesOrMisparses)
     // with the corrupted input is not the contract, idempotence of
     // the restored state is.) Anything else — a crash, an untyped
     // exception — fails the test.
-    for (ProtocolKind proto : kCodecFamilies) {
-        SCOPED_TRACE(protocolName(proto));
-        const SystemConfig cfg = snapshotConfig(proto);
-        const std::string good = warmedSnapshot(cfg, 200);
-        System sys(cfg);
-        for (std::size_t i = 0; i < good.size(); ++i) {
-            SCOPED_TRACE("flip=" + std::to_string(i));
-            std::string bad = good;
-            bad[i] = static_cast<char>(bad[i] ^ 0x40);
+    const SystemConfig cfg = snapshotConfig(GetParam());
+    const std::string good = warmedSnapshot(cfg, 200);
+    System sys(cfg);
+    for (std::size_t i = 0; i < good.size(); ++i) {
+        SCOPED_TRACE("flip=" + std::to_string(i));
+        std::string bad = good;
+        bad[i] = static_cast<char>(bad[i] ^ 0x40);
+        ASSERT_TRUE(sys.reset(cfg));
+        try {
+            loadWarmSnapshot(sys, bad);
+            const std::string re = saveWarmSnapshot(sys);
             ASSERT_TRUE(sys.reset(cfg));
-            try {
-                loadWarmSnapshot(sys, bad);
-                const std::string re = saveWarmSnapshot(sys);
-                ASSERT_TRUE(sys.reset(cfg));
-                loadWarmSnapshot(sys, re);
-                EXPECT_EQ(saveWarmSnapshot(sys), re);
-            } catch (const WireError &) {
-            } catch (const SnapshotError &) {
-            }
+            loadWarmSnapshot(sys, re);
+            EXPECT_EQ(saveWarmSnapshot(sys), re);
+        } catch (const WireError &) {
+        } catch (const SnapshotError &) {
         }
     }
 }
