@@ -139,8 +139,6 @@ Sequencer::tryIssue()
             req.storeValue =
                 (std::uint64_t{id_} << 48) ^ req.reqId;
         }
-        if (issueObserver_)
-            issueObserver_(id_, req);
         cache_->request(req);
     }
 }

@@ -203,14 +203,6 @@ class Sequencer
                                           const ProcResponse &)>;
     void setObserver(ObserverFn fn) { observer_ = std::move(fn); }
 
-    /** Observer invoked on every issue (issue tick, op). */
-    using IssueObserverFn = std::function<void(NodeId,
-                                               const ProcRequest &)>;
-    void setIssueObserver(IssueObserverFn fn)
-    {
-        issueObserver_ = std::move(fn);
-    }
-
   private:
     /** The L1 keeps only the value (its tag is the address). */
     struct L1Line
@@ -268,7 +260,6 @@ class Sequencer
     WorkloadOp stalledOp_;
 
     ObserverFn observer_;
-    IssueObserverFn issueObserver_;
     SequencerStats stats_;
 };
 

@@ -10,17 +10,6 @@ namespace tokensim {
 
 namespace {
 
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 /** Header fields after the magic/version prefix. */
 SnapshotHeader
 readHeader(WireReader &r)

@@ -288,9 +288,6 @@ class System
      */
     bool reset(const SystemConfig &cfg, bool trust_factory = false);
 
-    /** Run at most until @p tick (for incremental test control). */
-    void runUntilTick(Tick tick) { eq_.run(tick); }
-
     /**
      * Advance every processor @p ops_per_node operations functionally
      * (round-robin, one op per node per turn): architectural warm
@@ -375,11 +372,6 @@ class System
             return metrics.counterValue("l2_accesses");
         }
         std::uint64_t
-        l2Hits() const
-        {
-            return metrics.counterValue("l2_hits");
-        }
-        std::uint64_t
         misses() const
         {
             return metrics.counterValue("misses");
@@ -412,24 +404,14 @@ class System
             return metrics.counterValue("miss_persistent");
         }
 
-        // Event-kernel counters over the measured window (diagnostic:
+        // Event-kernel counter over the measured window (diagnostic:
         // simulator cost, not simulated behavior — kept out of
         // resultDigest() so golden digests don't churn with kernel
         // bookkeeping changes).
         std::uint64_t
-        eventsScheduled() const
-        {
-            return metrics.counterValue("events_scheduled");
-        }
-        std::uint64_t
         eventsDispatched() const
         {
             return metrics.counterValue("events_dispatched");
-        }
-        std::uint64_t
-        timersCancelled() const
-        {
-            return metrics.counterValue("timers_cancelled");
         }
 
         /** Miss-latency stat pooled over every miss on every node. */
@@ -493,15 +475,6 @@ class System
         {
             return misses()
                 ? static_cast<double>(totalLinkBytes()) /
-                      static_cast<double>(misses())
-                : 0.0;
-        }
-
-        double
-        bytesPerMissOf(MsgClass c) const
-        {
-            return misses()
-                ? static_cast<double>(linkBytesOf(c)) /
                       static_cast<double>(misses())
                 : 0.0;
         }

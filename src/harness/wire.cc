@@ -4,8 +4,6 @@
 
 namespace tokensim {
 
-// WireWriter / WireReader / struct-end sentinel moved to sim/bytes.cc.
-
 // ---------------------------------------------------------------------
 // Struct encodings
 // ---------------------------------------------------------------------
@@ -298,13 +296,7 @@ sweepFingerprint(const std::vector<ExperimentSpec> &specs)
     w.varint(specs.size());
     for (const ExperimentSpec &s : specs)
         encodeExperimentSpec(w, s);
-
-    std::uint64_t h = 1469598103934665603ull;   // FNV-1a 64 offset
-    for (const char c : w.buffer()) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;                  // FNV-1a 64 prime
-    }
-    return h;
+    return fnv1a(w.buffer());
 }
 
 std::string
@@ -314,11 +306,9 @@ encodeCheckpointHeader(std::uint64_t fingerprint,
     WireWriter w;
     w.raw(checkpointMagic, sizeof(checkpointMagic));
     w.varint(wireVersion);
-    // Fixed 8 little-endian bytes: a fingerprint is an opaque bit
-    // pattern, and a fixed width keeps it legible in a hex dump.
-    for (int i = 0; i < 8; ++i)
-        w.u8(static_cast<std::uint8_t>((fingerprint >> (8 * i)) &
-                                       0xff));
+    // Fixed width: a fingerprint is an opaque bit pattern, and a
+    // fixed width keeps it legible in a hex dump.
+    w.u64(fingerprint);
     w.varint(total_shards);
     return w.take();
 }
@@ -342,13 +332,7 @@ decodeCheckpointHeader(const std::string &buf, std::size_t &pos)
                 ", this build speaks " + std::to_string(wireVersion) +
                 " (delete the file to start over)");
         }
-        std::uint64_t fp = 0;
-        for (int i = 0; i < 8; ++i) {
-            fp |= static_cast<std::uint64_t>(
-                      r.u8("checkpoint fingerprint"))
-                  << (8 * i);
-        }
-        h.fingerprint = fp;
+        h.fingerprint = r.u64("checkpoint fingerprint");
         h.totalShards = r.varint("checkpoint shard count");
     } catch (const CheckpointError &) {
         throw;
@@ -375,9 +359,7 @@ encodeCheckpointRecord(std::uint64_t spec, std::uint64_t seed,
     WireWriter w;
     w.varint(payload.size());
     w.raw(payload.data(), payload.size());
-    const std::uint32_t c = crc32(payload.data(), payload.size());
-    for (int i = 0; i < 4; ++i)
-        w.u8(static_cast<std::uint8_t>((c >> (8 * i)) & 0xff));
+    w.u32(crc32(payload.data(), payload.size()));
     return w.take();
 }
 
@@ -385,41 +367,24 @@ bool
 tryExtractCheckpointRecord(const std::string &buf, std::size_t &pos,
                            CheckpointRecord &out)
 {
-    // Length varint by hand: running out of buffer mid-varint is an
-    // incomplete (torn) record, not an error; only a varint that can
-    // never terminate validly throws.
-    std::uint64_t len = 0;
-    int shift = 0;
-    std::size_t at = pos;
-    for (;;) {
-        if (at >= buf.size())
-            return false;
-        const auto b = static_cast<unsigned char>(buf[at++]);
-        if (shift >= 63 && ((b & 0x7f) > 1 || (b & 0x80))) {
-            throw WireError(
-                "checkpoint record length varint overflows 64 bits");
-        }
-        len |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            break;
-        shift += 7;
-    }
+    // Running out of buffer mid-varint is an incomplete (torn)
+    // record, not an error; only a varint that can never terminate
+    // validly throws.
+    WireReader in(buf.data() + pos, buf.size() - pos);
+    std::uint64_t len;
+    if (!in.tryVarint(len, "checkpoint record length"))
+        return false;
     if (len > maxRecordPayload) {
         throw WireError("checkpoint record length " +
                         std::to_string(len) + " exceeds the cap");
     }
-    if (buf.size() - at < len + 4)
+    if (in.remaining() < len + 4)
         return false;   // payload or CRC still incomplete: torn tail
 
-    const char *payload = buf.data() + at;
     const auto plen = static_cast<std::size_t>(len);
-    std::uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i) {
-        stored |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-                      payload[plen + i]))
-                  << (8 * i);
-    }
-    if (crc32(payload, plen) != stored)
+    const unsigned char *payload =
+        in.bytes(plen, "checkpoint record payload");
+    if (crc32(payload, plen) != in.u32("checkpoint record CRC"))
         throw WireError("checkpoint record CRC mismatch");
 
     WireReader r(payload, plen);
@@ -427,7 +392,7 @@ tryExtractCheckpointRecord(const std::string &buf, std::size_t &pos,
     out.seed = r.varint("checkpoint record seed");
     out.results = decodeResults(r);
     r.expectEnd("checkpoint record");
-    pos = at + plen + 4;
+    pos += in.consumed();
     return true;
 }
 

@@ -5,14 +5,14 @@
  * encode-only canonical forms of ExperimentSpec / SystemConfig /
  * WorkloadSpec that the sweep and snapshot fingerprints hash.
  *
- * Same discipline as workload/trace.hh: little-endian throughout,
- * ULEB128 varints for counters, zigzag varints for signed ints,
- * doubles as raw IEEE-754 bit patterns (restored results must merge
- * bit-identically to a computed run, so no text round-trip), and a
- * bounds-checked reader where every malformed input class — short
- * buffer, oversized varint, out-of-range enum, non-0/1 bool, trailing
- * garbage — throws a typed WireError naming the field. The parser
- * never reads out of bounds.
+ * Every byte goes through sim/bytes.hh, the one codec: little-endian
+ * throughout, ULEB128 varints for counters, zigzag varints for signed
+ * ints, doubles as raw IEEE-754 bit patterns (restored results must
+ * merge bit-identically to a computed run, so no text round-trip),
+ * and a bounds-checked reader where every malformed input class —
+ * short buffer, oversized varint, out-of-range enum, non-0/1 bool,
+ * trailing garbage — throws a typed WireError naming the field. The
+ * parser never reads out of bounds.
  *
  * Versioning: wireVersion is stamped into every checkpoint header and
  * hashed into the sweep fingerprint. Bump it whenever an encoded

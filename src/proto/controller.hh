@@ -196,14 +196,8 @@ class CacheController : public ControllerBase
      * sampling model treats it as part of the detailed warm-up, not
      * the architectural state.
      */
-    virtual std::uint64_t
-    applyFunctional(const ProcRequest &req, FunctionalEnv &env)
-    {
-        (void)req;
-        (void)env;
-        throw std::logic_error(
-            "applyFunctional not implemented for this protocol");
-    }
+    virtual std::uint64_t applyFunctional(const ProcRequest &req,
+                                          FunctionalEnv &env) = 0;
 
     /**
      * Serialize this controller's architectural warm state (cache
@@ -214,26 +208,14 @@ class CacheController : public ControllerBase
      * (BlockMap-backed state sorted by address) so identical states
      * produce identical bytes.
      */
-    virtual void
-    encodeWarmState(WireWriter &w) const
-    {
-        (void)w;
-        throw WireError(
-            "warm-state snapshots unsupported by this protocol");
-    }
+    virtual void encodeWarmState(WireWriter &w) const = 0;
 
     /**
      * Inverse of encodeWarmState() into a freshly-reset controller.
      * Malformed input throws WireError; the controller may be left
      * partially populated (callers discard it on failure).
      */
-    virtual void
-    decodeWarmState(WireReader &r)
-    {
-        (void)r;
-        throw WireError(
-            "warm-state snapshots unsupported by this protocol");
-    }
+    virtual void decodeWarmState(WireReader &r) = 0;
 
     void setCompletionCallback(CompletionFn fn) { complete_ = std::move(fn); }
     void setLineRemovedCallback(LineRemovedFn fn) { removed_ = std::move(fn); }
@@ -287,22 +269,10 @@ class MemoryController : public ControllerBase
 
     /** See CacheController::encodeWarmState — home-side warm state
      *  (backing store, directory/owner/token tables). */
-    virtual void
-    encodeWarmState(WireWriter &w) const
-    {
-        (void)w;
-        throw WireError(
-            "warm-state snapshots unsupported by this protocol");
-    }
+    virtual void encodeWarmState(WireWriter &w) const = 0;
 
     /** See CacheController::decodeWarmState. */
-    virtual void
-    decodeWarmState(WireReader &r)
-    {
-        (void)r;
-        throw WireError(
-            "warm-state snapshots unsupported by this protocol");
-    }
+    virtual void decodeWarmState(WireReader &r) = 0;
 };
 
 /**

@@ -4,42 +4,15 @@
 
 namespace tokensim {
 
-namespace {
-
-std::uint64_t
-zigzag(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-        static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-} // namespace
-
 // ---------------------------------------------------------------------
 // WireWriter
 // ---------------------------------------------------------------------
 
 void
-WireWriter::varint(std::uint64_t v)
+WireWriter::fixed(std::uint64_t v, int width)
 {
-    while (v >= 0x80) {
-        out_.push_back(static_cast<char>(
-            static_cast<unsigned char>(v) | 0x80));
-        v >>= 7;
-    }
-    out_.push_back(static_cast<char>(v));
-}
-
-void
-WireWriter::svarint(std::int64_t v)
-{
-    varint(zigzag(v));
+    for (int i = 0; i < width; ++i)
+        out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
 void
@@ -48,8 +21,7 @@ WireWriter::f64(double v)
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v), "");
     std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i)
-        out_.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
+    u64(bits);
 }
 
 void
@@ -69,14 +41,6 @@ WireWriter::raw(const void *data, std::size_t size)
 // WireReader
 // ---------------------------------------------------------------------
 
-std::uint8_t
-WireReader::u8(const char *what)
-{
-    if (remaining() < 1)
-        throw WireError(std::string("truncated while reading ") + what);
-    return p_[pos_++];
-}
-
 bool
 WireReader::boolean(const char *what)
 {
@@ -89,47 +53,37 @@ WireReader::boolean(const char *what)
 }
 
 std::uint64_t
-WireReader::varint(const char *what)
+WireReader::fixed(int width, const char *what)
 {
+    const unsigned char *p = bytes(width, what);
     std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-        if (pos_ >= size_) {
-            throw WireError(std::string("truncated mid-varint in ") +
-                            what);
-        }
-        const unsigned char b = p_[pos_++];
-        if (shift >= 63) {
-            // Byte 10 carries at most bit 63; more payload — or an
-            // 11th byte — cannot fit in 64 bits (and shifting by
-            // >= 64 would be UB, so reject before it can happen).
-            if ((b & 0x7f) > 1 || (b & 0x80)) {
-                throw WireError(std::string(what) +
-                                ": varint overflows 64 bits");
-            }
-        }
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-        shift += 7;
-    }
+    for (int i = 0; i < width; ++i)
+        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    return v;
 }
 
-std::int64_t
-WireReader::svarint(const char *what)
+void
+WireReader::truncated(const char *what)
 {
-    return unzigzag(varint(what));
+    throw WireError(std::string("truncated while reading ") + what);
+}
+
+void
+WireReader::truncatedVarint(const char *what)
+{
+    throw WireError(std::string("truncated mid-varint in ") + what);
+}
+
+void
+WireReader::varintOverflow(const char *what)
+{
+    throw WireError(std::string(what) + ": varint overflows 64 bits");
 }
 
 double
 WireReader::f64(const char *what)
 {
-    if (remaining() < 8)
-        throw WireError(std::string("truncated while reading ") + what);
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i)
-        bits |= static_cast<std::uint64_t>(p_[pos_ + i]) << (8 * i);
-    pos_ += 8;
+    const std::uint64_t bits = u64(what);
     double v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
@@ -145,19 +99,14 @@ WireReader::str(const char *what)
                         std::to_string(remaining()) +
                         " bytes remaining");
     }
-    std::string s(reinterpret_cast<const char *>(p_ + pos_),
-                  static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return s;
+    const auto n = static_cast<std::size_t>(len);
+    return std::string(reinterpret_cast<const char *>(bytes(n, what)), n);
 }
 
 void
 WireReader::raw(void *dst, std::size_t size, const char *what)
 {
-    if (remaining() < size)
-        throw WireError(std::string("truncated while reading ") + what);
-    std::memcpy(dst, p_ + pos_, size);
-    pos_ += size;
+    std::memcpy(dst, bytes(size, what), size);
 }
 
 void
@@ -167,6 +116,17 @@ WireReader::expectEnd(const char *what) const
         throw WireError(std::to_string(size_ - pos_) +
                         " trailing bytes after " + what);
     }
+}
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 1469598103934665603ull;   // FNV-1a 64 offset
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;                  // FNV-1a 64 prime
+    }
+    return h;
 }
 
 // ---------------------------------------------------------------------

@@ -212,56 +212,6 @@ class Ewma
 };
 
 /**
- * Fixed-width linear histogram with an overflow bucket; enough for miss
- * latency distributions and queue depths.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width width of each bucket.
-     * @param num_buckets number of regular buckets (plus one overflow).
-     */
-    explicit Histogram(double bucket_width = 1.0,
-                       std::size_t num_buckets = 64)
-        : width_(bucket_width), buckets_(num_buckets + 1, 0)
-    {}
-
-    void
-    add(double x)
-    {
-        stat_.add(x);
-        // Bucket selection must clamp *before* the float-to-integer
-        // cast: casting a negative, NaN, or out-of-range double to
-        // std::size_t is undefined behavior, not a saturating
-        // conversion. NaN and negative samples land in bucket 0;
-        // anything at or past the last regular bucket lands in the
-        // overflow bucket.
-        const double r = x / width_;
-        std::size_t idx;
-        if (std::isnan(r) || r < 0.0)
-            idx = 0;
-        else if (r >= static_cast<double>(buckets_.size() - 1))
-            idx = buckets_.size() - 1;
-        else
-            idx = static_cast<std::size_t>(r);
-        ++buckets_[idx];
-    }
-
-    std::uint64_t count() const { return stat_.count(); }
-    double mean() const { return stat_.mean(); }
-    double stddev() const { return stat_.stddev(); }
-    double max() const { return stat_.max(); }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    double bucketWidth() const { return width_; }
-
-  private:
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    RunningStat stat_;
-};
-
-/**
  * Sparse power-of-two histogram for long-tailed distributions (miss
  * latencies span ~20 ticks for an L2 hit to tens of thousands under
  * persistent-request starvation, so linear buckets either blur the

@@ -17,137 +17,6 @@ constexpr unsigned char kFlagEndsTransaction = 1u << 1;
 constexpr unsigned char kFlagReservedMask =
     static_cast<unsigned char>(~(kFlagStore | kFlagEndsTransaction));
 
-std::uint64_t
-zigzag(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-        static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-void
-putVarint(std::vector<unsigned char> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<unsigned char>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<unsigned char>(v));
-}
-
-/**
- * Bounds-checked little-endian cursor over a serialized trace. Every
- * primitive read verifies the remaining size first, so a truncated or
- * corrupted buffer surfaces as TraceError, never as an out-of-bounds
- * read.
- */
-struct Cursor
-{
-    const unsigned char *p;
-    std::size_t size;
-    std::size_t pos = 0;
-
-    void
-    need(std::size_t n, const char *what) const
-    {
-        if (size - pos < n) {
-            throw TraceError(std::string("truncated while reading ") +
-                             what);
-        }
-    }
-
-    void
-    bytes(void *dst, std::size_t n, const char *what)
-    {
-        need(n, what);
-        std::memcpy(dst, p + pos, n);
-        pos += n;
-    }
-
-    std::uint16_t
-    u16(const char *what)
-    {
-        need(2, what);
-        std::uint16_t v = 0;
-        for (int i = 0; i < 2; ++i)
-            v |= static_cast<std::uint16_t>(p[pos + i]) << (8 * i);
-        pos += 2;
-        return v;
-    }
-
-    std::uint32_t
-    u32(const char *what)
-    {
-        need(4, what);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(p[pos + i]) << (8 * i);
-        pos += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64(const char *what)
-    {
-        need(8, what);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(p[pos + i]) << (8 * i);
-        pos += 8;
-        return v;
-    }
-};
-
-void
-putU16(std::string &out, std::uint16_t v)
-{
-    for (int i = 0; i < 2; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-/** ULEB128 decode with bounds checking against @p end. */
-std::uint64_t
-getVarint(const unsigned char *p, std::size_t size, std::size_t &pos)
-{
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-        if (pos >= size)
-            throw TraceError("stream truncated mid-varint");
-        const unsigned char b = p[pos++];
-        if (shift >= 63) {
-            // Byte 10 carries at most bit 63; any more payload — or
-            // an 11th byte — cannot fit (and shifting by >= 64 would
-            // be UB, so reject before it can happen).
-            if ((b & 0x7f) > 1 || (b & 0x80))
-                throw TraceError("varint overflows 64 bits");
-        }
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-        shift += 7;
-    }
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -157,59 +26,61 @@ getVarint(const unsigned char *p, std::size_t size, std::size_t &pos)
 TraceData
 TraceData::parse(const void *data, std::size_t size)
 {
-    Cursor c{static_cast<const unsigned char *>(data), size};
-
-    char magic[8];
-    c.bytes(magic, sizeof(magic), "magic");
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        throw TraceError("bad magic (not a tokensim trace)");
-
-    const std::uint32_t ver = c.u32("version");
-    if (ver != version) {
-        throw TraceError("unsupported version " + std::to_string(ver) +
-                         " (expected " + std::to_string(version) + ")");
-    }
-
+    WireReader r(data, size);
     TraceData t;
-    t.header_.numNodes = c.u32("node count");
-    if (t.header_.numNodes == 0)
-        throw TraceError("node count is zero");
-    t.header_.blockBytes = c.u32("block size");
-    t.header_.seed = c.u64("seed");
-    t.header_.warmupOpsPerProcessor = c.u64("warmup ops");
+    try {
+        char magic[8];
+        r.raw(magic, sizeof(magic), "magic");
+        if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+            throw TraceError("bad magic (not a tokensim trace)");
 
-    const std::uint16_t plen = c.u16("provenance length");
-    c.need(plen, "provenance");
-    t.header_.provenance.assign(
-        reinterpret_cast<const char *>(c.p + c.pos), plen);
-    c.pos += plen;
+        const std::uint32_t ver = r.u32("version");
+        if (ver != version) {
+            throw TraceError("unsupported version " +
+                             std::to_string(ver) + " (expected " +
+                             std::to_string(version) + ")");
+        }
 
-    const std::size_t n = t.header_.numNodes;
-    t.opsPerNode_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        t.opsPerNode_[i] = c.u64("op counts");
-    std::vector<std::uint64_t> streamBytes(n);
-    for (std::size_t i = 0; i < n; ++i)
-        streamBytes[i] = c.u64("stream sizes");
+        t.header_.numNodes = r.u32("node count");
+        if (t.header_.numNodes == 0)
+            throw TraceError("node count is zero");
+        t.header_.blockBytes = r.u32("block size");
+        t.header_.seed = r.u64("seed");
+        t.header_.warmupOpsPerProcessor = r.u64("warmup ops");
 
-    t.streams_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        c.need(streamBytes[i], "stream body");
-        t.streams_[i].assign(c.p + c.pos,
-                             c.p + c.pos + streamBytes[i]);
-        c.pos += streamBytes[i];
+        const std::uint16_t plen = r.u16("provenance length");
+        t.header_.provenance.assign(
+            reinterpret_cast<const char *>(r.bytes(plen, "provenance")),
+            plen);
+
+        const std::size_t n = t.header_.numNodes;
+        t.opsPerNode_.resize(n);
+        for (std::size_t i = 0; i < n; ++i)
+            t.opsPerNode_[i] = r.u64("op counts");
+        std::vector<std::uint64_t> streamBytes(n);
+        for (std::size_t i = 0; i < n; ++i)
+            streamBytes[i] = r.u64("stream sizes");
+
+        t.streams_.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto len = static_cast<std::size_t>(streamBytes[i]);
+            const unsigned char *body = r.bytes(len, "stream body");
+            t.streams_[i].assign(body, body + len);
+        }
+    } catch (const WireError &e) {
+        throw TraceError(e.what());
     }
-    if (c.pos != size)
+    if (r.remaining() != 0)
         throw TraceError("trailing garbage after last stream");
 
     // Validate every stream decodes to exactly the advertised op
     // count; afterwards Reader::next() can never fault on in-bounds
     // traces, and a truncation inside the body is caught here rather
     // than mid-simulation.
-    for (std::size_t i = 0; i < n; ++i) {
-        Reader r(t, static_cast<NodeId>(i));
+    for (std::size_t i = 0; i < t.streams_.size(); ++i) {
+        Reader reader(t, static_cast<NodeId>(i));
         for (std::uint64_t k = 0; k < t.opsPerNode_[i]; ++k)
-            r.next();
+            reader.next();
     }
     return t;
 }
@@ -295,31 +166,43 @@ TraceData::totalOps() const
     return total;
 }
 
-TraceData::Reader::Reader(const TraceData &trace, NodeId node)
+namespace {
+
+NodeId
+checkedNode(const TraceData &trace, NodeId node)
 {
-    if (node >= trace.header_.numNodes) {
+    if (node >= trace.numNodes()) {
         throw TraceError("node " + std::to_string(node) +
                          " out of range (trace has " +
-                         std::to_string(trace.header_.numNodes) +
-                         " nodes)");
+                         std::to_string(trace.numNodes()) + " nodes)");
     }
-    base_ = trace.streams_[node].data();
-    size_ = trace.streams_[node].size();
-    count_ = trace.opsPerNode_[node];
+    return node;
 }
+
+} // namespace
+
+TraceData::Reader::Reader(const TraceData &trace, NodeId node)
+    : stream_(&trace.streams_[checkedNode(trace, node)]),
+      in_(stream_->data(), stream_->size()),
+      count_(trace.opsPerNode_[node])
+{}
 
 WorkloadOp
 TraceData::Reader::next()
 {
     if (done())
         throw TraceError("read past end of stream");
-    if (pos_ >= size_)
+    if (in_.remaining() == 0)
         throw TraceError("stream shorter than advertised op count");
-    const unsigned char flags = base_[pos_++];
+    const std::uint8_t flags = in_.u8("op flags");
     if (flags & kFlagReservedMask)
         throw TraceError("reserved flag bits set (corrupt stream?)");
-    const std::int64_t delta =
-        unzigzag(getVarint(base_, size_, pos_));
+    std::int64_t delta;
+    try {
+        delta = in_.svarint("address delta");
+    } catch (const WireError &e) {
+        throw TraceError(e.what());
+    }
 
     WorkloadOp op;
     op.op = (flags & kFlagStore) ? MemOp::store : MemOp::load;
@@ -333,7 +216,7 @@ TraceData::Reader::next()
 void
 TraceData::Reader::rewind()
 {
-    pos_ = 0;
+    in_ = WireReader(stream_->data(), stream_->size());
     returned_ = 0;
     prevAddr_ = 0;
 }
@@ -357,16 +240,14 @@ TraceWriter::TraceWriter(TraceHeader header)
 void
 TraceWriter::append(NodeId node, const WorkloadOp &op)
 {
-    std::vector<unsigned char> &s = streams_.at(node);
+    WireWriter &s = streams_.at(node);
     unsigned char flags = 0;
     if (op.op == MemOp::store)
         flags |= kFlagStore;
     if (op.endsTransaction)
         flags |= kFlagEndsTransaction;
-    s.push_back(flags);
-    const std::int64_t delta = static_cast<std::int64_t>(
-        op.addr - prevAddr_[node]);
-    putVarint(s, zigzag(delta));
+    s.u8(flags);
+    s.svarint(static_cast<std::int64_t>(op.addr - prevAddr_[node]));
     prevAddr_[node] = op.addr;
     ++opsPerNode_[node];
 }
@@ -374,28 +255,22 @@ TraceWriter::append(NodeId node, const WorkloadOp &op)
 std::string
 TraceWriter::serialize() const
 {
-    std::string out;
-    std::size_t body = 0;
-    for (const auto &s : streams_)
-        body += s.size();
-    out.reserve(64 + header_.provenance.size() +
-                16 * streams_.size() + body);
-
-    out.append(kMagic, sizeof(kMagic));
-    putU32(out, TraceData::version);
-    putU32(out, header_.numNodes);
-    putU32(out, header_.blockBytes);
-    putU64(out, header_.seed);
-    putU64(out, header_.warmupOpsPerProcessor);
-    putU16(out, static_cast<std::uint16_t>(header_.provenance.size()));
-    out.append(header_.provenance);
+    WireWriter w;
+    w.raw(kMagic, sizeof(kMagic));
+    w.u32(TraceData::version);
+    w.u32(header_.numNodes);
+    w.u32(header_.blockBytes);
+    w.u64(header_.seed);
+    w.u64(header_.warmupOpsPerProcessor);
+    w.u16(static_cast<std::uint16_t>(header_.provenance.size()));
+    w.raw(header_.provenance.data(), header_.provenance.size());
     for (std::uint64_t c : opsPerNode_)
-        putU64(out, c);
-    for (const auto &s : streams_)
-        putU64(out, s.size());
-    for (const auto &s : streams_)
-        out.append(reinterpret_cast<const char *>(s.data()), s.size());
-    return out;
+        w.u64(c);
+    for (const WireWriter &s : streams_)
+        w.u64(s.buffer().size());
+    for (const WireWriter &s : streams_)
+        w.raw(s.buffer().data(), s.buffer().size());
+    return w.take();
 }
 
 void

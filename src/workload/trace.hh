@@ -45,10 +45,13 @@
  *           op's address and the previous address in the same stream
  *           (the first op's "previous address" is 0)
  *
- * Any malformed input — short header, bad magic/version, reserved
- * flag bits, a stream that ends mid-op or whose decoded op count
- * disagrees with the header — throws TraceError with a message naming
- * the problem; the parser never reads out of bounds.
+ * Every field is read and written through sim/bytes.hh: the fixed-
+ * width fields are WireWriter/WireReader's u16/u32/u64 and the delta
+ * is their svarint. Any malformed input — short header, bad
+ * magic/version, reserved flag bits, a stream that ends mid-op or
+ * whose decoded op count disagrees with the header — throws
+ * TraceError with a message naming the problem (a WireError from the
+ * codec is rethrown as one); the parser never reads out of bounds.
  */
 
 #ifndef TOKENSIM_WORKLOAD_TRACE_HH
@@ -60,6 +63,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/bytes.hh"
 #include "workload/workload.hh"
 
 namespace tokensim {
@@ -147,9 +151,8 @@ class TraceData
         void rewind();
 
       private:
-        const unsigned char *base_;
-        std::size_t size_;
-        std::size_t pos_ = 0;
+        const std::vector<unsigned char> *stream_;
+        WireReader in_;
         std::uint64_t count_;
         std::uint64_t returned_ = 0;
         Addr prevAddr_ = 0;
@@ -190,7 +193,7 @@ class TraceWriter
   private:
     TraceHeader header_;
     std::vector<std::uint64_t> opsPerNode_;
-    std::vector<std::vector<unsigned char>> streams_;
+    std::vector<WireWriter> streams_;
     std::vector<Addr> prevAddr_;
 };
 

@@ -18,6 +18,10 @@
  *   - golden_digests.txt: one "<protocol>/<workload> <digest>" line
  *     per combination, produced by resultDigest().
  *
+ * The trace writer is pinned as well: re-recording each workload on
+ * the reference config must reproduce its committed file byte for
+ * byte.
+ *
  * Regenerating after an INTENDED behavior change:
  *   TOKENSIM_UPDATE_GOLDEN=1 ./test_golden_traces
  * then commit the rewritten artifacts with a justification — a golden
@@ -28,7 +32,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -143,16 +149,30 @@ updateRequested()
     return v && *v && std::string(v) != "0";
 }
 
+/** Record @p workload's golden trace on the reference config to @p path. */
+void
+recordGolden(const std::string &workload, const std::string &path)
+{
+    SystemConfig cfg = goldenConfig(ProtocolKind::tokenB);
+    cfg.workload = workload;
+    cfg.recordTrace = path;
+    runOnce(cfg, cfg.seed);
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << "cannot read " << path;
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 /** Record the golden traces and rewrite every digest line. */
 void
 regenerate()
 {
-    for (const char *workload : kWorkloads) {
-        SystemConfig cfg = goldenConfig(ProtocolKind::tokenB);
-        cfg.workload = workload;
-        cfg.recordTrace = tracePath(workload);
-        runOnce(cfg, cfg.seed);
-    }
+    for (const char *workload : kWorkloads)
+        recordGolden(workload, tracePath(workload));
     std::ofstream out(digestsPath(), std::ios::trunc);
     ASSERT_TRUE(out) << "cannot write " << digestsPath();
     out << "# <protocol>/<workload> <resultDigest()>\n"
@@ -239,6 +259,29 @@ TEST(GoldenTraces, CommittedTracesAreWellFormed)
         EXPECT_EQ(trace->header().provenance, workload);
         EXPECT_EQ(trace->minOpsPerNode(), 4800u);
         EXPECT_EQ(trace->header().warmupOpsPerProcessor, 4400u);
+    }
+}
+
+TEST(GoldenTraces, RecordingReproducesCommittedTraceBytes)
+{
+    // The reader side is pinned by the digests above; this pins the
+    // writer: re-recording each workload must give the committed file
+    // byte for byte.
+    if (updateRequested())
+        return;
+    std::filesystem::create_directories("test_traces");
+    for (const char *workload : kWorkloads) {
+        SCOPED_TRACE(workload);
+        const std::string path =
+            std::string("test_traces/golden_rerecord_") + workload +
+            ".trace";
+        recordGolden(workload, path);
+        const std::string got = readBytes(path);
+        const std::string want = readBytes(tracePath(workload));
+        EXPECT_TRUE(got == want)
+            << "re-recorded trace (" << got.size()
+            << " bytes) differs from the committed one (" << want.size()
+            << " bytes)";
     }
 }
 

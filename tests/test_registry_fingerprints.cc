@@ -34,17 +34,6 @@ namespace tokensim {
 namespace {
 
 std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-std::uint64_t
 fingerprint(const System::Results &r)
 {
     WireWriter w;

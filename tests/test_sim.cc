@@ -951,20 +951,6 @@ TEST(Ewma, TracksRecentValues)
     EXPECT_DOUBLE_EQ(e.value(), 175.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10.0, 4);
-    h.add(5.0);
-    h.add(15.0);
-    h.add(35.0);
-    h.add(1000.0);   // overflow bucket
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[3], 1u);
-    EXPECT_EQ(h.buckets()[4], 1u);
-}
-
 TEST(Strformat, FormatsLikePrintf)
 {
     EXPECT_EQ(strformat("x=%d y=%s", 5, "abc"), "x=5 y=abc");

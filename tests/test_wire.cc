@@ -486,10 +486,28 @@ TEST(WireCheckpoint, Crc32MatchesTheIeeeKnownAnswer)
     EXPECT_NE(crc32("123456789", 9), crc32("123456788", 9));
 }
 
+/** Lower-case hex of @p bytes, for pinning encodings as literals. */
+std::string
+toHex(const std::string &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (const char c : bytes) {
+        const auto b = static_cast<unsigned char>(c);
+        out += digits[b >> 4];
+        out += digits[b & 15];
+    }
+    return out;
+}
+
 TEST(WireCheckpoint, HeaderRoundTripsAndStopsAtItsOwnEnd)
 {
     const std::string hdr =
         encodeCheckpointHeader(0xdeadbeefcafef00dULL, 12);
+    // The on-disk bytes: magic "TOKCKPT1", wireVersion varint, the
+    // fingerprint as 8 little-endian bytes, the shard count varint.
+    EXPECT_EQ(toHex(hdr), "544f4b434b505431" "06"
+                          "0df0fecaefbeadde" "0c");
     std::size_t pos = 0;
     const CheckpointHeader back = decodeCheckpointHeader(hdr, pos);
     EXPECT_EQ(back.fingerprint, 0xdeadbeefcafef00dULL);
@@ -501,6 +519,25 @@ TEST(WireCheckpoint, HeaderRoundTripsAndStopsAtItsOwnEnd)
     std::size_t pos2 = 0;
     decodeCheckpointHeader(hdr + "records follow", pos2);
     EXPECT_EQ(pos2, hdr.size());
+
+    // One record's bytes: payload length varint, payload (spec, seed,
+    // metric registry), then the payload's CRC-32 little-endian.
+    System::Results res;
+    res.metrics.addCounter("ops", metricPinned, 300);
+    RunningStat lat;
+    lat.add(1.5);
+    lat.add(2.5);
+    res.metrics.addStat("lat", metricPinned, lat);
+    LogHistogram h;
+    h.add(3.0);
+    res.metrics.addHistogram("hist", metricDiagnostic, h);
+    EXPECT_EQ(toHex(encodeCheckpointRecord(2, 1, res)),
+              "3d" "0201"
+              "03" "036f7073" "0001" "ac02"
+              "036c6174" "0101" "02" "0000000000000040"
+              "000000000000e03f" "000000000000f83f" "0000000000000440"
+              "0468697374" "0200" "01" "0201"
+              "5a" "7fd02715");
 }
 
 TEST(WireCheckpoint, HeaderBadMagicAndVersionAreCheckpointErrors)
@@ -577,6 +614,13 @@ TEST(WireCheckpoint, OversizedRecordLengthIsATypedError)
     std::size_t pos = 0;
     CheckpointRecord r;
     EXPECT_THROW(tryExtractCheckpointRecord(w.buffer(), pos, r), WireError);
+
+    // An 11-byte length varint can never terminate validly, so it is
+    // an error too, not a torn tail still waiting for its last byte.
+    const std::string overlong = std::string(10, '\x80') + '\x01';
+    pos = 0;
+    EXPECT_THROW(tryExtractCheckpointRecord(overlong, pos, r), WireError);
+    EXPECT_EQ(pos, 0u);
 }
 
 TEST(WireCheckpoint, CorruptRecordByteIsATypedErrorAtEveryOffset)
