@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/ext/tokenm.hh"
 #include "core/tokenb.hh"
 #include "harness/experiment.hh"
 #include "harness/parallel_runner.hh"
@@ -325,19 +326,27 @@ BM_SystemFreshConstruct(benchmark::State &state)
 }
 BENCHMARK(BM_SystemFreshConstruct);
 
-void
-BM_SystemFreshConstruct256(benchmark::State &state)
+/** A 256-node @p protocol System as the sweep-tenants-256 end-to-end
+ *  workload configures it (two tenants, 1 MB L2). */
+SystemConfig
+tenants256Config(ProtocolKind protocol)
 {
-    // Building one 256-node TokenB System as the sweep-tenants-256
-    // end-to-end workload configures it (two tenants, 1 MB L2): the
-    // set-up every runner worker pays per protocol.
     SystemConfig cfg;
     cfg.numNodes = 256;
     cfg.topology = "torus";
-    cfg.protocol = ProtocolKind::tokenB;
+    cfg.protocol = protocol;
     cfg.tenants = {TenantSpec{WorkloadSpec("ycsb"), 128},
                    TenantSpec{WorkloadSpec("tpcc"), 128}};
     cfg.l2.sizeBytes = 1 << 20;
+    return cfg;
+}
+
+void
+BM_SystemFreshConstruct256(benchmark::State &state)
+{
+    // Building one 256-node TokenB System: the set-up every runner
+    // worker pays per protocol.
+    const SystemConfig cfg = tenants256Config(ProtocolKind::tokenB);
     for (auto _ : state) {
         System sys(cfg);
         benchmark::DoNotOptimize(&sys);
@@ -345,6 +354,51 @@ BM_SystemFreshConstruct256(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SystemFreshConstruct256)->Unit(benchmark::kMillisecond);
+
+void
+BM_SystemFreshConstruct256TokenM(benchmark::State &state)
+{
+    // The same with TokenM, whose caches each add a destination-set
+    // predictor to what TokenB builds.
+    const SystemConfig cfg = tenants256Config(ProtocolKind::tokenM);
+    for (auto _ : state) {
+        System sys(cfg);
+        benchmark::DoNotOptimize(&sys);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SystemFreshConstruct256TokenM)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_DestSetPredictorTrainPredict(benchmark::State &state)
+{
+    // One TokenM cache's predictor as a sampled 256-node run uses it:
+    // 8192 entries of which about 500 are trained. An item is one
+    // training (every eighth an exclusive one) and one prediction.
+    constexpr int nodes = 256;
+    DestSetPredictor p(8192, 64, nodes);
+    std::vector<Addr> addrs(512);
+    for (std::size_t i = 0; i < addrs.size(); ++i)
+        addrs[i] = 64 * ((i * 2654435761u) % (1u << 20));
+    std::size_t i = 0;
+    std::size_t sum = 0;
+    for (auto _ : state) {
+        const Addr a = addrs[i % addrs.size()];
+        const auto node = static_cast<NodeId>(i * 7 % nodes);
+        if (i % 8 == 0)
+            p.trainExclusive(a, node);
+        else
+            p.train(a, node);
+        sum += p.predict(addrs[(i * 5) % addrs.size()]).size();
+        ++i;
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(state.iterations());
+    state.counters["live_entries"] =
+        static_cast<double>(p.liveEntries());
+}
+BENCHMARK(BM_DestSetPredictorTrainPredict);
 
 void
 BM_SystemResetReuse(benchmark::State &state)

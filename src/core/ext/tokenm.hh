@@ -15,11 +15,12 @@
 #ifndef TOKENSIM_CORE_EXT_TOKENM_HH
 #define TOKENSIM_CORE_EXT_TOKENM_HH
 
-#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/tokenb.hh"
+#include "mem/block_map.hh"
 #include "proto/home_state.hh"
 
 namespace tokensim {
@@ -28,21 +29,31 @@ namespace tokensim {
  * Direct-mapped destination-set predictor: per block-group, the set of
  * nodes recently seen holding (or about to hold) tokens.
  *
- * An entry is a tag and a NodeMask drawn from a NodeMaskPool
- * (proto/home_state.hh), as the Directory's sharer sets are. A mask
- * takes a ceil(nodes / 64)-word slot on an entry's first training and
- * gives it back on conflict eviction and trainExclusive(), so the
- * predictor holds one mask per entry with a live tag, not one per
- * entry: a sampled 256-node run trains under 500 of a cache's 8192
- * entries, and a mask is 128 B at 1024 nodes.
+ * The table is indexed by (addr / blockBytes) % entries, and a
+ * conflict evicts the entry at that index, so it predicts exactly what
+ * a dense array of that many entries would. It is stored sparsely: a
+ * BlockMap keyed by index holds only the indices trained since the
+ * last clear(), each a tag and a NodeMask drawn from a NodeMaskPool
+ * (proto/home_state.hh), as the Directory's sharer sets are. A
+ * sampled 256-node run trains under 500 of a cache's 8192 indices, so
+ * the predictor costs a few KB per cache rather than 128 KB, and
+ * clear() touches only what was trained. A mask takes a
+ * ceil(nodes / 64)-word slot on an entry's first training and gives it
+ * back on conflict eviction and trainExclusive().
  */
 class DestSetPredictor
 {
   public:
     DestSetPredictor(std::uint32_t entries, std::uint32_t block_bytes,
                      int num_nodes)
-        : blockBytes_(block_bytes), entries_(entries), pool_(num_nodes)
-    {}
+        : blockBytes_(block_bytes), numEntries_(entries),
+          pool_(num_nodes)
+    {
+        if (entries == 0) {
+            throw std::invalid_argument(
+                "TokenM predictorEntries must be at least 1");
+        }
+    }
 
     /** Record that @p node holds (or will hold) tokens for @p addr. */
     void
@@ -61,7 +72,7 @@ class DestSetPredictor
     void
     clear()
     {
-        std::fill(entries_.begin(), entries_.end(), Entry{});
+        entries_.clear();
         pool_.clear();
     }
 
@@ -86,11 +97,15 @@ class DestSetPredictor
     predict(Addr addr) const
     {
         std::vector<NodeId> out;
-        const Entry &e = entries_[indexOf(addr)];
-        if (e.tag == addr / blockBytes_)
-            pool_.forEach(e.mask, [&](NodeId n) { out.push_back(n); });
+        const auto it = entries_.find(indexOf(addr));
+        if (it != entries_.end() && it->second.tag == addr / blockBytes_)
+            pool_.forEach(it->second.mask,
+                          [&](NodeId n) { out.push_back(n); });
         return out;
     }
+
+    /** Indices trained since the last clear(). */
+    std::size_t liveEntries() const { return entries_.size(); }
 
     /** Mask slots ever in use at once since the last clear(). */
     std::size_t maskPoolHighWater() const { return pool_.highWater(); }
@@ -99,17 +114,18 @@ class DestSetPredictor
     struct Entry
     {
         Addr tag = ~Addr{0};
-        NodeMask mask;   ///< in pool_; empty iff the tag is not live
+        NodeMask mask;   ///< in pool_
     };
 
-    std::size_t
+    Addr
     indexOf(Addr addr) const
     {
-        return (addr / blockBytes_) % entries_.size();
+        return (addr / blockBytes_) % numEntries_;
     }
 
     std::uint32_t blockBytes_;
-    std::vector<Entry> entries_;
+    std::uint32_t numEntries_;
+    BlockMap<Entry> entries_;   ///< keyed by index
     NodeMaskPool pool_;
 };
 

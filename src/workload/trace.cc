@@ -53,7 +53,13 @@ TraceData::parse(const void *data, std::size_t size)
             reinterpret_cast<const char *>(r.bytes(plen, "provenance")),
             plen);
 
+        // Two u64 per node follow; check they fit before sizing
+        // anything by the header's node count.
         const std::size_t n = t.header_.numNodes;
+        if (r.remaining() / 16 < n) {
+            throw TraceError("truncated while reading op counts (" +
+                             std::to_string(n) + " nodes)");
+        }
         t.opsPerNode_.resize(n);
         for (std::size_t i = 0; i < n; ++i)
             t.opsPerNode_[i] = r.u64("op counts");

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <vector>
+
 #include "core/ext/tokena.hh"
 #include "core/ext/tokend.hh"
 #include "core/ext/tokenm.hh"
@@ -166,6 +171,79 @@ TEST(TokenM, PredictorClearForgetsEverything)
     ASSERT_EQ(set.size(), 1u);
     EXPECT_EQ(set[0], 5u);
     EXPECT_EQ(p.maskPoolHighWater(), 1u);
+}
+
+TEST(TokenM, PredictorMatchesADenseTableStepForStep)
+{
+    // The sparse table against the dense direct-mapped table it
+    // replaces: a slot per index holding a tag and a node set. Random
+    // training over a hot set of blocks plus a cold scatter across
+    // three times the index space makes tags conflict, at one, four and
+    // 8192 entries.
+    struct Slot
+    {
+        Addr tag = ~Addr{0};
+        std::set<NodeId> nodes;
+    };
+    constexpr Addr blockBytes = 64;
+    for (const std::uint32_t entries : {1u, 4u, 8192u}) {
+        for (const int nodes : {64, 256, 1024}) {
+            SCOPED_TRACE(testing::Message() << entries << " entries, "
+                                            << nodes << " nodes");
+            DestSetPredictor p(entries, blockBytes, nodes);
+            std::vector<Slot> dense(entries);
+            std::set<Addr> trained;   // indices since the last clear
+            std::mt19937_64 rng(entries * 7919u + nodes);
+            const Addr blocks = 3 * Addr{entries} + 7;
+            std::vector<Addr> hot(64);
+            for (Addr &b : hot)
+                b = rng() % blocks;
+
+            for (int step = 0; step < 100000; ++step) {
+                const Addr block =
+                    rng() % 4 == 0 ? rng() % blocks : hot[rng() % 64];
+                const Addr addr = block * blockBytes;
+                const auto node = static_cast<NodeId>(rng() % nodes);
+                Slot &slot = dense[block % entries];
+                const unsigned op = rng() % 1000;
+                if (op < 2) {
+                    p.clear();
+                    dense.assign(entries, Slot{});
+                    trained.clear();
+                } else if (op < 450) {
+                    p.train(addr, node);
+                    if (slot.tag != block)
+                        slot = Slot{block, {}};
+                    slot.nodes.insert(node);
+                    trained.insert(block % entries);
+                } else if (op < 600) {
+                    p.trainExclusive(addr, node);
+                    slot = Slot{block, {node}};
+                    trained.insert(block % entries);
+                } else {
+                    const std::vector<NodeId> want =
+                        slot.tag == block
+                        ? std::vector<NodeId>(slot.nodes.begin(),
+                                              slot.nodes.end())
+                        : std::vector<NodeId>{};
+                    ASSERT_EQ(p.predict(addr), want)
+                        << "step " << step << ", block " << block;
+                }
+                ASSERT_EQ(p.liveEntries(), trained.size())
+                    << "step " << step;
+            }
+        }
+    }
+}
+
+TEST(TokenM, ZeroPredictorEntriesIsAnInvalidArgument)
+{
+    // The index is (addr / blockBytes) % entries: zero entries would
+    // divide by zero on the first training.
+    EXPECT_THROW(DestSetPredictor(0, 64, 64), std::invalid_argument);
+    SystemConfig cfg = smallConfig(ProtocolKind::tokenM);
+    cfg.proto.predictorEntries = 0;
+    EXPECT_THROW(System sys(cfg), std::invalid_argument);
 }
 
 TEST(TokenM, FirstRequestMulticastsToHomeOnly)

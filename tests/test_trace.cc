@@ -248,6 +248,25 @@ TEST_F(MalformedTrace, OverlongVarintThrows)
                  TraceError);
 }
 
+TEST_F(MalformedTrace, HugeNodeCountInABareHeaderThrows)
+{
+    // A header alone (38 bytes, empty provenance) that claims 2^32 - 1
+    // nodes: the per-node arrays it promises are missing, and parse
+    // must say so before sizing anything by that count (32 GB each).
+    std::string buf = TraceWriter(headerFor(1, "")).serialize();
+    buf.resize(38);
+    for (int i = 12; i < 16; ++i)   // node count follows magic, version
+        buf[i] = '\xff';
+    try {
+        TraceData::parse(buf.data(), buf.size());
+        FAIL() << "2^32 - 1 nodes accepted from a bare header";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find("truncated"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST_F(MalformedTrace, MissingFileThrows)
 {
     EXPECT_THROW(TraceData::load("test_traces/does_not_exist.trace"),
